@@ -149,6 +149,26 @@ void BM_DualConstructionSkl(benchmark::State &State) {
 }
 BENCHMARK(BM_DualConstructionSkl);
 
+/// The port-contention kernel PMEvo's fitness scores every candidate
+/// mapping with, one call per iteration over a fixed set of bags shaped
+/// like its training samples: 1-6 µOP demands over an 8-port machine,
+/// mostly 1-3 ports wide, with duplicate masks.
+void BM_OptimalPortCycles(benchmark::State &State) {
+  Rng R(6);
+  std::vector<std::vector<std::pair<PortMask, double>>> Bags(1024);
+  for (auto &Bag : Bags)
+    for (size_t E = 0, N = 1 + R.uniformInt(6); E < N; ++E) {
+      PortMask Mask;
+      for (size_t P = 0, W = 1 + R.uniformInt(3); P < W; ++P)
+        Mask.set(R.uniformInt(8));
+      Bag.push_back({Mask, R.uniformRealIn(0.25, 4.0)});
+    }
+  size_t I = 0;
+  for (auto _ : State)
+    benchmark::DoNotOptimize(optimalPortCycles(Bags[I++ % Bags.size()]));
+}
+BENCHMARK(BM_OptimalPortCycles);
+
 /// Console output as usual, plus one BenchReport metric per benchmark so
 /// bench_all can fold the timings into BENCH_seed.json.
 class ReportingReporter : public benchmark::ConsoleReporter {

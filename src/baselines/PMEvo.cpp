@@ -30,7 +30,9 @@ struct Sample {
 };
 
 double predictedCycles(const Genome &G, const Sample &S) {
-  std::vector<std::pair<PortMask, double>> Demands;
+  // Per-thread scratch: fitness scoring calls this millions of times.
+  thread_local std::vector<std::pair<PortMask, double>> Demands;
+  Demands.clear();
   for (const auto &[Index, Mult] : S.Terms)
     for (PortMask Mask : G[Index])
       Demands.push_back({Mask, Mult});
@@ -198,19 +200,22 @@ PMEvoPredictor::train(BenchmarkRunner &Runner,
     std::sort(Order.begin(), Order.end(),
               [&](size_t A, size_t B) { return Fitness[A] < Fitness[B]; });
 
+    // The elites carry their fitness forward: scoring is deterministic, so
+    // re-scoring them would only repeat the same value.
     std::vector<Genome> Next;
-    Next.push_back(Population[Order[0]]);
-    if (Order.size() > 1)
-      Next.push_back(Population[Order[1]]);
+    std::vector<double> NextFitness;
+    for (size_t E = 0; E < std::min<size_t>(2, Order.size()); ++E) {
+      Next.push_back(Population[Order[E]]);
+      NextFitness.push_back(Fitness[Order[E]]);
+    }
     while (static_cast<int>(Next.size()) < Config.PopulationSize) {
       Genome Child = crossover(R, Tournament(), Tournament());
       mutate(R, Child, Config);
+      NextFitness.push_back(fitness(Child, Samples));
       Next.push_back(std::move(Child));
     }
     Population = std::move(Next);
-    Fitness.resize(Population.size());
-    for (size_t P = 0; P < Population.size(); ++P)
-      Fitness[P] = fitness(Population[P], Samples);
+    Fitness = std::move(NextFitness);
   }
 
   size_t Best = 0;

@@ -8,70 +8,79 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
-#include <set>
+#include <limits>
 #include <string>
 
 using namespace palmed;
 
+namespace {
+
+/// Closes \p Members, a list of distinct masks, under union of
+/// intersecting pairs, appending each new union at the end. Worklist form:
+/// every member is paired once with every member before it, so each pair
+/// is tried exactly once and the result is the unique least fixpoint, in
+/// discovery order. \p MaxSize is the debug-build cap on the result.
+void closeUnderUnion(std::vector<PortMask> &Members,
+                     size_t MaxSize = std::numeric_limits<size_t>::max()) {
+  (void)MaxSize; // Only consumed by the assert below.
+  for (size_t I = 0; I < Members.size(); ++I)
+    for (size_t J = 0; J < I; ++J) {
+      if (!Members[I].intersects(Members[J]))
+        continue;
+      PortMask U = Members[I] | Members[J];
+      if (std::find(Members.begin(), Members.end(), U) != Members.end())
+        continue;
+      Members.push_back(std::move(U));
+      assert(Members.size() <= MaxSize && "resource closure exceeded cap");
+    }
+}
+
+} // namespace
+
 std::vector<PortMask>
 palmed::computeResourceClosure(const MachineModel &Machine,
                                size_t MaxResources) {
-  (void)MaxResources; // Only consumed by the assert below; unused when
-                      // NDEBUG compiles the assert out.
-  std::set<PortMask> Closure;
+  std::vector<PortMask> Closure;
   for (InstrId Id = 0; Id < Machine.numInstructions(); ++Id)
     for (const MicroOpDesc &Op : Machine.exec(Id).MicroOps)
-      Closure.insert(Op.Ports);
-
-  // Fixpoint: add the union of any two intersecting members.
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    std::vector<PortMask> Current(Closure.begin(), Closure.end());
-    for (size_t I = 0; I < Current.size() && !Changed; ++I) {
-      for (size_t J = I + 1; J < Current.size(); ++J) {
-        const PortMask &A = Current[I], &B = Current[J];
-        if (!A.intersects(B))
-          continue;
-        PortMask U = A | B;
-        if (Closure.insert(U).second) {
-          Changed = true;
-          assert(Closure.size() <= MaxResources &&
-                 "resource closure exceeded cap");
-          break;
-        }
-      }
-    }
-  }
-  return std::vector<PortMask>(Closure.begin(), Closure.end());
+      Closure.push_back(Op.Ports);
+  std::sort(Closure.begin(), Closure.end());
+  Closure.erase(std::unique(Closure.begin(), Closure.end()), Closure.end());
+  closeUnderUnion(Closure, MaxResources);
+  std::sort(Closure.begin(), Closure.end());
+  return Closure;
 }
 
 double palmed::optimalPortCycles(
     const std::vector<std::pair<PortMask, double>> &Demands) {
-  // Merge duplicate masks.
-  std::map<PortMask, double> ByMask;
+  // Per-thread scratch: after warm-up, calls on single-word masks allocate
+  // nothing.
+  thread_local std::vector<std::pair<PortMask, double>> ByMask;
+  thread_local std::vector<PortMask> Closure;
+
+  // Merge duplicate masks, summing each one's demands in input order from
+  // 0.0, then order by mask: the per-mask sums and their order are those
+  // of a std::map<PortMask, double> filled with operator[] +=.
+  ByMask.clear();
   for (const auto &[Mask, Demand] : Demands) {
     assert(Mask.any() && "µOP with empty port set");
     assert(Demand >= 0.0 && "negative demand");
-    ByMask[Mask] += Demand;
+    auto It = std::find_if(ByMask.begin(), ByMask.end(),
+                           [&](const auto &E) { return E.first == Mask; });
+    if (It == ByMask.end())
+      It = ByMask.emplace(ByMask.end(), Mask, 0.0);
+    It->second += Demand;
   }
-  // Closure under union-of-intersecting-sets.
-  std::set<PortMask> Closure;
+  std::sort(ByMask.begin(), ByMask.end(),
+            [](const auto &A, const auto &B) { return A.first < B.first; });
+
+  Closure.clear();
   for (const auto &[Mask, Demand] : ByMask)
-    Closure.insert(Mask);
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    std::vector<PortMask> Current(Closure.begin(), Closure.end());
-    for (size_t I = 0; I < Current.size() && !Changed; ++I)
-      for (size_t J = I + 1; J < Current.size(); ++J)
-        if (Current[I].intersects(Current[J]) &&
-            Closure.insert(Current[I] | Current[J]).second) {
-          Changed = true;
-          break;
-        }
-  }
+    Closure.push_back(Mask);
+  closeUnderUnion(Closure);
+
+  // The max does not depend on the closure's order, and each Inside sum
+  // runs over the masks in sorted order.
   double Best = 0.0;
   for (const PortMask &J : Closure) {
     double Inside = 0.0;

@@ -57,6 +57,13 @@ std::vector<PortMask> computeResourceClosure(const MachineModel &Machine,
 /// the combinatorial equivalent of the scheduling LP (Hall-type duality).
 /// Used by the PMEvo baseline to evaluate candidate disjunctive mappings
 /// without solving an LP per fitness evaluation.
+///
+/// Bit-equality contract: the result is bit-identical to merging the bag
+/// into a std::map<PortMask, double> (demands summed in input order) and
+/// summing each closure member's demand over that map in key order, which
+/// PMEvo's golden training test pins. The merged bag and the closure live
+/// in thread_local scratch, so calls allocate nothing once warm (single-word
+/// masks) and concurrent calls from different threads are safe.
 double optimalPortCycles(
     const std::vector<std::pair<PortMask, double>> &Demands);
 

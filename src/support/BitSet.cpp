@@ -94,21 +94,6 @@ size_t BitSet::findLast() const {
   return W * 64 + High;
 }
 
-bool BitSet::intersects(const BitSet &O) const {
-  size_t N = std::min(numWords(), O.numWords());
-  for (size_t W = 0; W < N; ++W)
-    if (word(W) & O.word(W))
-      return true;
-  return false;
-}
-
-bool BitSet::isSubsetOf(const BitSet &O) const {
-  for (size_t W = 0; W < numWords(); ++W)
-    if (word(W) & ~(W < O.numWords() ? O.word(W) : 0))
-      return false;
-  return true;
-}
-
 BitSet BitSet::without(const BitSet &O) const {
   BitSet Out = *this;
   if (Out.Multi.empty()) {
@@ -120,19 +105,6 @@ BitSet BitSet::without(const BitSet &O) const {
     Out.Multi[W] &= ~O.word(W);
   Out.normalize();
   return Out;
-}
-
-BitSet &BitSet::operator|=(const BitSet &O) {
-  if (O.none())
-    return *this;
-  if (Multi.empty() && O.numWords() <= 1) {
-    Single |= O.word(0);
-    return *this;
-  }
-  auto &M = spill(O.numWords());
-  for (size_t W = 0; W < O.numWords(); ++W)
-    M[W] |= O.word(W);
-  return *this; // OR cannot zero the top word.
 }
 
 BitSet &BitSet::operator&=(const BitSet &O) {
@@ -190,24 +162,6 @@ BitSet BitSet::operator>>(size_t Shift) const {
   }
   Out.normalize();
   return Out;
-}
-
-bool palmed::operator==(const BitSet &A, const BitSet &B) {
-  if (A.numWords() != B.numWords())
-    return false;
-  for (size_t W = 0; W < A.numWords(); ++W)
-    if (A.word(W) != B.word(W))
-      return false;
-  return true;
-}
-
-bool palmed::operator<(const BitSet &A, const BitSet &B) {
-  if (A.numWords() != B.numWords())
-    return A.numWords() < B.numWords();
-  for (size_t W = A.numWords(); W-- > 0;)
-    if (A.word(W) != B.word(W))
-      return A.word(W) < B.word(W);
-  return false;
 }
 
 uint64_t BitSet::toUint64() const {

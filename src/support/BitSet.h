@@ -102,14 +102,38 @@ public:
     return Out;
   }
 
-  bool intersects(const BitSet &O) const;
-  bool isSubsetOf(const BitSet &O) const;
+  bool intersects(const BitSet &O) const {
+    if (Multi.empty() && O.Multi.empty())
+      return (Single & O.Single) != 0;
+    size_t N = numWords() < O.numWords() ? numWords() : O.numWords();
+    for (size_t W = 0; W < N; ++W)
+      if (word(W) & O.word(W))
+        return true;
+    return false;
+  }
+  bool isSubsetOf(const BitSet &O) const {
+    if (Multi.empty() && O.Multi.empty())
+      return (Single & ~O.Single) == 0;
+    for (size_t W = 0; W < numWords(); ++W)
+      if (word(W) & ~(W < O.numWords() ? O.word(W) : 0))
+        return false;
+    return true;
+  }
 
   /// Set difference this \ O (the old `A & ~B` idiom without needing a
   /// complement over an explicit universe).
   BitSet without(const BitSet &O) const;
 
-  BitSet &operator|=(const BitSet &O);
+  BitSet &operator|=(const BitSet &O) {
+    if (Multi.empty() && O.Multi.empty()) {
+      Single |= O.Single;
+      return *this;
+    }
+    auto &M = spill(O.numWords());
+    for (size_t W = 0; W < O.numWords(); ++W)
+      M[W] |= O.word(W);
+    return *this; // OR cannot zero the top word.
+  }
   BitSet &operator&=(const BitSet &O);
   BitSet &operator^=(const BitSet &O);
 
@@ -179,8 +203,27 @@ private:
   std::vector<uint64_t> Multi;
 };
 
-bool operator==(const BitSet &A, const BitSet &B);
-bool operator<(const BitSet &A, const BitSet &B);
+inline bool operator==(const BitSet &A, const BitSet &B) {
+  if (A.Multi.empty() && B.Multi.empty())
+    return A.Single == B.Single;
+  if (A.numWords() != B.numWords())
+    return false;
+  for (size_t W = 0; W < A.numWords(); ++W)
+    if (A.word(W) != B.word(W))
+      return false;
+  return true;
+}
+
+inline bool operator<(const BitSet &A, const BitSet &B) {
+  if (A.Multi.empty() && B.Multi.empty())
+    return A.Single < B.Single;
+  if (A.numWords() != B.numWords())
+    return A.numWords() < B.numWords();
+  for (size_t W = A.numWords(); W-- > 0;)
+    if (A.word(W) != B.word(W))
+      return A.word(W) < B.word(W);
+  return false;
+}
 
 } // namespace palmed
 

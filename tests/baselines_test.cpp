@@ -6,13 +6,18 @@
 
 #include "baselines/GroundTruthPredictors.h"
 #include "baselines/PMEvo.h"
+#include "eval/Harness.h"
+#include "eval/Workload.h"
 #include "machine/MachineBuilder.h"
 #include "machine/StandardMachines.h"
+#include "palmed/EvalSession.h"
 #include "sim/AnalyticOracle.h"
 #include "support/Rng.h"
 #include "support/Statistics.h"
 
 #include <gtest/gtest.h>
+
+#include <cstring>
 
 using namespace palmed;
 
@@ -195,4 +200,80 @@ TEST(PMEvo, PartialCoverageSemantics) {
   Mixed.add(Supported[0], 1.0);
   Mixed.add(Out, 1.0);
   EXPECT_TRUE(P->predictIpc(Mixed).has_value());
+}
+
+namespace {
+
+/// FNV-1a over (instruction, µOP count, masks) of every inferred entry.
+uint64_t inferredDigest(const PMEvoPredictor &P) {
+  uint64_t H = 0xcbf29ce484222325ull;
+  auto Mix = [&](uint64_t V) {
+    for (int B = 0; B < 8; ++B) {
+      H ^= (V >> (8 * B)) & 0xff;
+      H *= 0x100000001b3ull;
+    }
+  };
+  for (InstrId Id : P.supportedInstructions()) {
+    const std::vector<PortMask> &Ops = P.microOps(Id);
+    Mix(Id);
+    Mix(Ops.size());
+    for (const PortMask &Mask : Ops)
+      Mix(Mask.toUint64());
+  }
+  return H;
+}
+
+} // namespace
+
+TEST(PMEvo, GoldenTrainingOnSkl) {
+  // Pins the GA's exact trajectory: a speedup of the fitness kernel must
+  // keep every fitness bit, or Fig. 4's PMEvo column moves. The values were
+  // recorded with the std::map / std::set optimalPortCycles.
+  MachineModel M = makeSklLike();
+  AnalyticOracle O(M);
+  BenchmarkRunner Runner(M, O);
+  PMEvoConfig Cfg = quickPmevoConfig();
+  Cfg.MaxTrainInstructions = 40;
+  auto P = PMEvoPredictor::train(Runner, M.isa().allIds(), Cfg);
+  EXPECT_EQ(P->trainingError(), 0x1.428610bd2dc65p+5);
+  EXPECT_EQ(P->supportedInstructions().size(), 40u);
+  EXPECT_EQ(inferredDigest(*P), 0x14aa49ba02bf5c7dull);
+}
+
+TEST(PMEvo, EvalSessionSerialAndParallelAreBitIdentical) {
+  // PMEvo predicts through thread-local scratch and claims thread safety,
+  // so EvalSession workers share one instance.
+  MachineModel M = makeSklLike();
+  AnalyticOracle O(M);
+  BenchmarkRunner Runner(M, O);
+  PMEvoConfig Cfg = quickPmevoConfig();
+  Cfg.Generations = 10;
+  Cfg.MaxTrainInstructions = 30;
+  auto P = PMEvoPredictor::train(Runner, M.isa().allIds(), Cfg);
+  ASSERT_TRUE(P->isThreadSafe());
+
+  WorkloadConfig WCfg;
+  WCfg.NumBlocks = 300;
+  auto Blocks = generateWorkload(M, WCfg);
+  auto Run = [&](ExecutionPolicy Policy) {
+    EvalSession S(O, Policy);
+    S.setReferenceTool("pmevo");
+    S.add(*P);
+    return S.run(Blocks).Predictions.at("pmevo");
+  };
+  auto Serial = Run(ExecutionPolicy::serial());
+  auto Par4 = Run(ExecutionPolicy::parallel(4));
+  ASSERT_EQ(Serial.size(), Par4.size());
+  size_t Predicted = 0;
+  for (size_t I = 0; I < Serial.size(); ++I) {
+    ASSERT_EQ(Serial[I].has_value(), Par4[I].has_value()) << I;
+    if (!Serial[I])
+      continue;
+    ++Predicted;
+    uint64_t A, B;
+    std::memcpy(&A, &*Serial[I], sizeof(A));
+    std::memcpy(&B, &*Par4[I], sizeof(B));
+    EXPECT_EQ(A, B) << "block " << I;
+  }
+  EXPECT_GT(Predicted, 0u);
 }

@@ -16,6 +16,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <map>
+#include <set>
+
 using namespace palmed;
 
 namespace {
@@ -182,6 +186,128 @@ TEST(OptimalPortCycles, UnionBindsWhenShared) {
   double T =
       optimalPortCycles({{portMask({0}), 2.0}, {portMask({0, 1}), 2.0}});
   EXPECT_NEAR(T, 2.0, 1e-12);
+}
+
+// ------------------------------------- Bit-equality with the std::map kernel
+
+namespace {
+
+/// The std::map / std::set formulation optimalPortCycles and
+/// computeResourceClosure replaced, kept verbatim as the reference their
+/// results must match bit for bit.
+double referenceOptimalPortCycles(
+    const std::vector<std::pair<PortMask, double>> &Demands) {
+  std::map<PortMask, double> ByMask;
+  for (const auto &[Mask, Demand] : Demands)
+    ByMask[Mask] += Demand;
+  std::set<PortMask> Closure;
+  for (const auto &[Mask, Demand] : ByMask)
+    Closure.insert(Mask);
+  bool Changed = true;
+  while (Changed) {
+    Changed = false;
+    std::vector<PortMask> Current(Closure.begin(), Closure.end());
+    for (size_t I = 0; I < Current.size() && !Changed; ++I)
+      for (size_t J = I + 1; J < Current.size(); ++J)
+        if (Current[I].intersects(Current[J]) &&
+            Closure.insert(Current[I] | Current[J]).second) {
+          Changed = true;
+          break;
+        }
+  }
+  double Best = 0.0;
+  for (const PortMask &J : Closure) {
+    double Inside = 0.0;
+    for (const auto &[Mask, Demand] : ByMask)
+      if (Mask.isSubsetOf(J))
+        Inside += Demand;
+    Best = std::max(Best, Inside / portCount(J));
+  }
+  return Best;
+}
+
+std::vector<PortMask> referenceResourceClosure(const MachineModel &Machine) {
+  std::set<PortMask> Closure;
+  for (InstrId Id = 0; Id < Machine.numInstructions(); ++Id)
+    for (const MicroOpDesc &Op : Machine.exec(Id).MicroOps)
+      Closure.insert(Op.Ports);
+  bool Changed = true;
+  while (Changed) {
+    Changed = false;
+    std::vector<PortMask> Current(Closure.begin(), Closure.end());
+    for (size_t I = 0; I < Current.size() && !Changed; ++I)
+      for (size_t J = I + 1; J < Current.size(); ++J)
+        if (Current[I].intersects(Current[J]) &&
+            Closure.insert(Current[I] | Current[J]).second) {
+          Changed = true;
+          break;
+        }
+  }
+  return std::vector<PortMask>(Closure.begin(), Closure.end());
+}
+
+uint64_t bitsOf(double X) {
+  uint64_t Bits;
+  std::memcpy(&Bits, &X, sizeof(Bits));
+  return Bits;
+}
+
+/// A random non-empty mask over \p NumPorts ports, mostly 1-3 ports wide.
+PortMask randomMask(Rng &R, size_t NumPorts) {
+  PortMask Mask;
+  size_t Width = 1 + R.uniformInt(R.chance(0.8) ? 3 : NumPorts);
+  for (size_t K = 0; K < Width; ++K)
+    Mask.set(R.uniformInt(NumPorts));
+  return Mask;
+}
+
+} // namespace
+
+TEST(OptimalPortCycles, BitEqualToMapReferenceOnRandomBags) {
+  Rng R(2024);
+  size_t Multiword = 0, WithDuplicates = 0, Empty = 0;
+  for (int Bag = 0; Bag < 2500; ++Bag) {
+    // Every fourth bag spans more than 64 ports, so BitSet's multi-word
+    // path is exercised; a small per-bag pool makes duplicate masks common.
+    size_t NumPorts = Bag % 4 == 3 ? 65 + R.uniformInt(60)
+                                   : 2 + R.uniformInt(10);
+    std::vector<PortMask> Pool;
+    for (size_t P = 0, N = 1 + R.uniformInt(6); P < N; ++P)
+      Pool.push_back(randomMask(R, NumPorts));
+    std::vector<std::pair<PortMask, double>> Demands;
+    size_t Entries = Bag % 50 == 0 ? 0 : 1 + R.uniformInt(10);
+    for (size_t E = 0; E < Entries; ++E) {
+      double Demand = R.chance(0.15)  ? 0.0
+                      : R.chance(0.5) ? R.uniformRealIn(0.05, 4.0)
+                                      : 1.0 / (1 + R.uniformInt(7));
+      Demands.push_back({Pool[R.uniformInt(Pool.size())], Demand});
+    }
+
+    std::set<PortMask> Distinct;
+    for (const auto &[Mask, Demand] : Demands) {
+      Distinct.insert(Mask);
+      Multiword += Mask.findLast() >= 64;
+    }
+    WithDuplicates += Distinct.size() < Demands.size();
+    Empty += Demands.empty();
+
+    double Got = optimalPortCycles(Demands);
+    double Want = referenceOptimalPortCycles(Demands);
+    ASSERT_EQ(bitsOf(Got), bitsOf(Want))
+        << "bag " << Bag << ": " << Got << " vs " << Want;
+  }
+  // The generator really reaches the cases the contract is about.
+  EXPECT_GT(Multiword, 100u);
+  EXPECT_GT(WithDuplicates, 500u);
+  EXPECT_GT(Empty, 0u);
+}
+
+TEST(ResourceClosure, MatchesSetReferenceOnStandardMachines) {
+  for (const MachineModel &M :
+       {makeSklLike(), makeZenLike(), makeStressMachine(StressIsaConfig())})
+    EXPECT_EQ(computeResourceClosure(M, DualOptions().MaxResources),
+              referenceResourceClosure(M))
+        << M.name();
 }
 
 // --------------------------------------------------------- Mapping round-trip
