@@ -5,9 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The public, staged form of the paper's Fig. 3 pipeline. Where the
-/// historical runPalmed() free function runs everything in one shot,
-/// Pipeline exposes the three stages individually:
+/// The public, staged form of the paper's Fig. 3 pipeline. Pipeline
+/// exposes the three stages individually:
 ///
 ///   Pipeline P(Runner, Config);
 ///   P.selectBasics();      // Algo 1 -> SelectionResult
@@ -15,8 +14,8 @@
 ///   P.completeMapping();   // Algo 5 -> PalmedResult
 ///
 /// Stages must run in order and each runs once; run() drives whatever is
-/// left, so `Pipeline(R).run()` is equivalent to the one-shot function,
-/// and a caller can stop after any stage, inspect its result, and resume
+/// left, so `Pipeline(R).run()` maps everything in one shot, and a caller
+/// can stop after any stage, inspect its result, and resume
 /// later. Progress is observable through PipelineObserver and the whole
 /// pipeline is cooperatively cancellable through CancellationToken (see
 /// palmed/Observer.h).
@@ -57,17 +56,6 @@ struct PalmedConfig {
   /// bit-identical between Serial and any Parallel(N); see the observer
   /// threading contract in palmed/Observer.h.
   ExecutionPolicy Execution = ExecutionPolicy::serial();
-  /// Stage-2 LP2 solve strategy (see BwpSolveOptions in core/BwpSolver.h).
-  /// All combinations produce bit-identical mappings; the knobs only trade
-  /// work. Lp2Decompose splits each pinned solve into independent
-  /// resource-coupling components (fanned over the execution policy when
-  /// more than one); Lp2Cache memoizes per-resource subproblem blocks and
-  /// warm-start bases across the shape-refinement iterations; Lp2ReuseModels
-  /// patches per-resource LP models across pin iterations instead of
-  /// rebuilding them.
-  bool Lp2Decompose = true;
-  bool Lp2Cache = true;
-  bool Lp2ReuseModels = true;
 };
 
 /// Run statistics (feeds the Table II reproduction).

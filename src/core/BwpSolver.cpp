@@ -99,7 +99,7 @@ public:
   /// Solves and returns the variable values; sets \p TotalSlack.
   std::vector<double> solve(BwpMode Mode, int MaxPinIterations,
                             double &TotalSlack, bool &Feasible,
-                            const BwpSolveOptions &Opts = {}) {
+                            const BwpSolveOptions &Opts) {
     std::vector<double> Values =
         Mode == BwpMode::ExactMilp
             ? solveExact(Feasible)
@@ -145,13 +145,11 @@ private:
     }
   }
 
-  /// Reusable per-resource model buffers: the capacity rows of both the
-  /// primary and the balancing model never change within one pinned solve,
-  /// so each is built once per resource per call and only the objective
-  /// (and, for the balancing model, the primary-floor row and the CapZ
-  /// tail) is patched per pin iteration. This replaces the historical
-  /// from-scratch lp::Model reconstruction on every iteration, which
-  /// re-allocated identical variable/constraint storage each time.
+  /// Per-resource model buffers: the capacity rows of both the primary and
+  /// the balancing model never change within one pinned solve, so each is
+  /// built once per resource per call and only the objective (and, for the
+  /// balancing model, the primary-floor row and the CapZ tail) is patched
+  /// per pin iteration.
   struct ResourceModels {
     lp::Model Primary;
     bool PrimaryBuilt = false;
@@ -169,25 +167,13 @@ private:
   /// reads/constrains/pins within its Supported set, so two resources
   /// interact only when some kernel supports both: solving the union-find
   /// components separately — in any order, or in parallel — reproduces
-  /// the monolithic interleaved pin loop bit for bit (a converged
-  /// component's objectives stop changing, so the monolithic loop's extra
-  /// passes over it are skipped as identical subproblems anyway).
-  /// \p Decompose false collapses everything into one pseudo-component,
-  /// which *is* the historical monolithic loop.
-  void buildComponents(bool Decompose,
-                       std::vector<std::vector<size_t>> &CompResources,
+  /// one interleaved pin loop over all resources bit for bit (a converged
+  /// component's objectives stop changing, so that loop's extra passes
+  /// over it would be skipped as identical subproblems anyway).
+  void buildComponents(std::vector<std::vector<size_t>> &CompResources,
                        std::vector<std::vector<size_t>> &CompKernels) const {
     CompResources.clear();
     CompKernels.clear();
-    if (!Decompose) {
-      CompResources.emplace_back(NumResources);
-      std::iota(CompResources.back().begin(), CompResources.back().end(),
-                size_t{0});
-      CompKernels.emplace_back(Rows.size());
-      std::iota(CompKernels.back().begin(), CompKernels.back().end(),
-                size_t{0});
-      return;
-    }
     std::vector<size_t> Parent(NumResources);
     std::iota(Parent.begin(), Parent.end(), size_t{0});
     auto Find = [&](size_t R) {
@@ -262,13 +248,10 @@ private:
     std::vector<uint8_t> HasPrev(NumResources, 0);
 
     std::vector<std::vector<size_t>> CompResources, CompKernels;
-    buildComponents(Opts.Decompose, CompResources, CompKernels);
+    buildComponents(CompResources, CompKernels);
     const size_t NumComps = CompResources.size();
-    const bool FanOut = Opts.Exec && NumComps > 1;
-    if (Opts.Stats) {
+    if (Opts.Stats)
       Opts.Stats->Components = static_cast<int>(NumComps);
-      Opts.Stats->Decomposed = FanOut;
-    }
 
     // Per-resource scratch. Shared across components, but every component
     // only touches its own resources, so all writes are disjoint (the
@@ -281,10 +264,9 @@ private:
     // \p Sink (the component's publish target) before \p Shared (the
     // read-only pre-solve snapshot); a null \p Shared means \p Sink is
     // probed alone. Returns false when any block failed to solve — the
-    // component then stops after the failing pass, like the monolithic
-    // loop. (With several components the others still run to their own
-    // fixed points; the divergence is benign because every caller
-    // discards the weights of an infeasible solve.)
+    // component then stops after the failing pass. (The other components
+    // still run to their own fixed points; that is benign because every
+    // caller discards the weights of an infeasible solve.)
     auto RunComponent = [&](size_t CI, const BwpSubproblemCache *Shared,
                             BwpSubproblemCache *Sink) -> bool {
       // Component-local variable renumbering scratch, written and undone
@@ -394,15 +376,11 @@ private:
               Sink->insert(BlockDigest.value(), std::move(E));
             };
 
-            lp::Model FreshPrimary;
-            lp::Model *MP = &FreshPrimary;
-            if (Opts.ReuseModels) {
-              if (!Models[R])
-                Models[R] = std::make_unique<ResourceModels>();
-              MP = &Models[R]->Primary;
-            }
-            lp::Model &M = *MP;
-            if (!Opts.ReuseModels || !Models[R]->PrimaryBuilt) {
+            if (!Models[R])
+              Models[R] = std::make_unique<ResourceModels>();
+            ResourceModels &RM = *Models[R];
+            lp::Model &M = RM.Primary;
+            if (!RM.PrimaryBuilt) {
               size_t NumRowsR = 0;
               // Variable ids coincide with local indices by construction.
               for (size_t V : RVars)
@@ -418,10 +396,8 @@ private:
                                 std::max(0.0, Row.TMeas - Row.FrozenLoad[R]));
                 ++NumRowsR;
               }
-              if (Opts.ReuseModels) {
-                Models[R]->PrimaryBuilt = true;
-                Models[R]->NumCapacityRows = NumRowsR;
-              }
+              RM.PrimaryBuilt = true;
+              RM.NumCapacityRows = NumRowsR;
             }
             lp::LinearExpr Obj = PinnedObj;
             for (size_t I = 0; I < RVars.size(); ++I)
@@ -456,26 +432,12 @@ private:
               // The dual's weights are uniform per resource (use/|J|), so
               // among the optima prefer the most balanced one: fix the
               // primary objective and minimize the largest scaled weight.
-              lp::Model FreshBalance;
-              lp::Model *M2P = &FreshBalance;
-              lp::VarId Z = -1;
-              size_t NumRowsR = 0;
-              bool Build = true;
-              if (Opts.ReuseModels) {
-                ResourceModels &RM = *Models[R];
-                M2P = &RM.Balance;
-                NumRowsR = RM.NumCapacityRows;
-                if (RM.BalanceBuilt) {
-                  Build = false;
-                  Z = RM.BalanceZ;
-                  // Drop the previous iteration's CapZ tail; the rows and
-                  // the primary-floor slot below survive verbatim.
-                  RM.Balance.truncateConstraints(RM.BalanceBase);
-                }
-              }
-              lp::Model &M2 = *M2P;
-              if (Build) {
-                NumRowsR = 0;
+              lp::Model &M2 = RM.Balance;
+              if (RM.BalanceBuilt) {
+                // Drop the previous iteration's CapZ tail; the rows and
+                // the primary-floor slot below survive verbatim.
+                M2.truncateConstraints(RM.BalanceBase);
+              } else {
                 for (size_t V : RVars)
                   M2.addVar(std::string(), 0.0, VarUpperBounds[V]);
                 // Re-add the capacity rows.
@@ -489,25 +451,20 @@ private:
                   M2.addConstraint(std::move(Load), lp::Sense::LE,
                                    std::max(0.0,
                                             Row.TMeas - Row.FrozenLoad[R]));
-                  ++NumRowsR;
                 }
                 // Primary-objective floor: placeholder row at a stable
                 // index, patched (replaceConstraint) before every solve.
                 M2.addConstraint(lp::LinearExpr(), lp::Sense::GE, 0.0);
-                Z = M2.addVar("z", 0.0, lp::Infinity);
+                RM.BalanceZ = M2.addVar("z", 0.0, lp::Infinity);
                 for (size_t V : RVars) {
                   lp::LinearExpr E;
-                  E.add(LocalOf[V], VarScales[V]).add(Z, -1.0);
+                  E.add(LocalOf[V], VarScales[V]).add(RM.BalanceZ, -1.0);
                   M2.addConstraint(std::move(E), lp::Sense::LE, 0.0);
                 }
-                if (Opts.ReuseModels) {
-                  ResourceModels &RM = *Models[R];
-                  RM.BalanceBuilt = true;
-                  RM.BalanceZ = Z;
-                  RM.BalanceBase = M2.numConstraints();
-                  RM.NumCapacityRows = NumRowsR;
-                }
+                RM.BalanceBuilt = true;
+                RM.BalanceBase = M2.numConstraints();
               }
+              const lp::VarId Z = RM.BalanceZ;
               // Keep the saturation-objective value (model M's variable
               // ids coincide with local indices, as do M2's).
               lp::LinearExpr Primary;
@@ -516,7 +473,7 @@ private:
                 Primary.add(V, C);
                 PinnedValue += C * Sol.value(V);
               }
-              M2.replaceConstraint(NumRowsR, std::move(Primary),
+              M2.replaceConstraint(RM.NumCapacityRows, std::move(Primary),
                                    lp::Sense::GE, PinnedValue - 1e-9);
               lp::LinearExpr Obj2;
               Obj2.add(Z, 1.0);
@@ -583,10 +540,9 @@ private:
       return true;
     };
 
-    if (!FanOut) {
-      // Monolithic fallback (dense coupling / no executor / decomposition
-      // off): components run inline in index order against the shared
-      // cache directly.
+    if (!Opts.Exec || NumComps <= 1) {
+      // Inline (one component or no executor): components run in index
+      // order against the shared cache directly.
       bool All = true;
       for (size_t CI = 0; CI < NumComps; ++CI)
         if (!RunComponent(CI, nullptr, Opts.Cache))
@@ -726,15 +682,6 @@ void BwpSubproblemCache::merge(BwpSubproblemCache &&Other) {
 void BwpSubproblemCache::clear() {
   Entries.clear();
   Bases.clear();
-}
-
-CoreWeights palmed::solveCoreWeights(const MappingShape &Shape,
-                                     const std::map<InstrId, size_t> &IndexOf,
-                                     const std::vector<WeightKernel> &Kernels,
-                                     BwpMode Mode, int MaxPinIterations,
-                                     const std::vector<double> &SoloIpc) {
-  return solveCoreWeights(Shape, IndexOf, Kernels, Mode, BwpSolveOptions(),
-                          MaxPinIterations, SoloIpc);
 }
 
 CoreWeights palmed::solveCoreWeights(const MappingShape &Shape,

@@ -95,14 +95,10 @@ struct BwpSolveStats {
   /// Resource-coupling components of the pinned decomposition (1 when the
   /// problem is monolithic; 0 when the solve never ran or ran ExactMilp).
   int Components = 0;
-  /// True when the per-component fan-out path ran (false = monolithic
-  /// fallback: dense coupling, decomposition disabled, or no executor).
-  bool Decomposed = false;
 };
 
-/// Knobs threaded through the pinned BWP solve. All combinations produce
-/// bit-identical weights; the knobs only trade work (see the equivalence
-/// tests in tests/lp2_test.cpp).
+/// Where the pinned BWP solve runs and what it may reuse. Neither field
+/// changes the weights, only the work (see tests/lp2_test.cpp).
 struct BwpSolveOptions {
   /// Fan target for per-component solves; null solves components inline.
   Executor *Exec = nullptr;
@@ -111,11 +107,6 @@ struct BwpSolveOptions {
   /// plus a component-local overlay, and overlays merge in component
   /// order afterwards — hit patterns are scheduling-independent.
   BwpSubproblemCache *Cache = nullptr;
-  /// Reuse per-resource model buffers across pin iterations instead of
-  /// reconstructing every lp::Model from scratch (row replace + truncate).
-  bool ReuseModels = true;
-  /// Split the solve into independent resource-coupling components.
-  bool Decompose = true;
   BwpSolveStats *Stats = nullptr;
 };
 
@@ -149,16 +140,8 @@ struct CoreWeights {
 CoreWeights solveCoreWeights(const MappingShape &Shape,
                              const std::map<InstrId, size_t> &IndexOf,
                              const std::vector<WeightKernel> &Kernels,
-                             BwpMode Mode, int MaxPinIterations = 6,
-                             const std::vector<double> &SoloIpc = {});
-
-/// Overload threading the pinned-solve options (cache, decomposition,
-/// model reuse, executor) through the solve. The defaulted overload above
-/// is equivalent to passing default-constructed options.
-CoreWeights solveCoreWeights(const MappingShape &Shape,
-                             const std::map<InstrId, size_t> &IndexOf,
-                             const std::vector<WeightKernel> &Kernels,
-                             BwpMode Mode, const BwpSolveOptions &Options,
+                             BwpMode Mode,
+                             const BwpSolveOptions &Options = {},
                              int MaxPinIterations = 6,
                              const std::vector<double> &SoloIpc = {});
 
@@ -174,7 +157,7 @@ struct AuxWeights {
 /// core. \p FrozenRho is indexed [basicIndex][resource]; kernels may
 /// contain basic instructions and \p Inst.
 ///
-/// \p Options threads the pinned-solve knobs through. LPAUX solves run
+/// \p Options threads the pinned-solve options through. LPAUX solves run
 /// inside the stage-3 parallelFor, so a caller passing Options.Cache must
 /// scope it to one call (or one task): per-call caches keep the hit
 /// pattern — and hence the solve/pivot stats — independent of scheduling,

@@ -19,9 +19,7 @@
 #ifndef PALMED_EVAL_HARNESS_H
 #define PALMED_EVAL_HARNESS_H
 
-#include "baselines/Predictor.h"
 #include "eval/Workload.h"
-#include "sim/ThroughputOracle.h"
 
 #include <iosfwd>
 #include <map>
@@ -67,16 +65,6 @@ struct EvalOutcome {
   void printHeatmap(std::ostream &OS, const std::string &Tool, size_t XBins,
                     size_t YBins, double MaxIpc, double MaxRatio) const;
 };
-
-/// Runs \p Predictors over \p Blocks; native IPC comes from \p Native.
-/// \p ReferenceTool names the predictor defining the coverage denominator.
-/// Equivalent to a serial palmed::EvalSession (see palmed/EvalSession.h),
-/// which adds the Parallel execution policy.
-[[deprecated("use palmed::EvalSession (see palmed/palmed.h)")]] EvalOutcome
-runEvaluation(ThroughputOracle &Native,
-              const std::vector<BasicBlock> &Blocks,
-              const std::vector<Predictor *> &Predictors,
-              const std::string &ReferenceTool);
 
 } // namespace palmed
 

@@ -29,7 +29,6 @@
 #include <chrono>
 #include <cmath>
 #include <mutex>
-#include <numeric>
 #include <set>
 #include <stdexcept>
 
@@ -149,16 +148,10 @@ struct Pipeline::Impl {
   /// contract.
   BwpSubproblemCache CoreLpCache;
 
-  /// LP2 solve options for the stage-2 call sites (cache, decomposition,
-  /// model reuse, fan-out over the pipeline's executor).
+  /// LP2 solve options for the stage-2 call sites: components fan out
+  /// over the pipeline's executor and share CoreLpCache.
   BwpSolveOptions lp2Options(BwpSolveStats *Stats = nullptr) {
-    BwpSolveOptions O;
-    O.Exec = &Exec;
-    O.Cache = Config.Lp2Cache ? &CoreLpCache : nullptr;
-    O.ReuseModels = Config.Lp2ReuseModels;
-    O.Decompose = Config.Lp2Decompose;
-    O.Stats = Stats;
-    return O;
+    return {&Exec, &CoreLpCache, Stats};
   }
 
   // NumThreads <= 1 (including a raw 0) is serial, matching EvalSession;
@@ -409,9 +402,8 @@ void Pipeline::Impl::solveCoreMapping() {
     CoreKernels.clear();
     for (const KernelObservation &Obs : Observations)
       CoreKernels.push_back({Obs.K, Obs.Ipc, -1});
-    Weights =
-        solveCoreWeights(Shape, IndexOf, CoreKernels, Config.Mode,
-                         lp2Options());
+    Weights = solveCoreWeights(Shape, IndexOf, CoreKernels, Config.Mode,
+                               lp2Options());
 
     size_t ForcedBefore = ForcedResources.size();
     {
@@ -788,33 +780,24 @@ void Pipeline::Impl::completeMapping() {
   // instruction: the kernel list with the instruction's own id replaced
   // by a sentinel (its basic ids resolve through the shared frozen core).
   std::vector<size_t> UniqueIdx;
-  if (!Config.Lp2Cache) {
-    // Cache disabled: every instruction solves its own problem (the true
-    // cold baseline the warm-vs-cold tests compare against).
-    UniqueIdx.resize(NumTotal);
-    std::iota(UniqueIdx.begin(), UniqueIdx.end(), size_t{0});
-    for (size_t Idx = 0; Idx < NumTotal; ++Idx)
-      Slots[Idx].Rep = Idx;
-  } else {
-    std::map<lp::StructuralDigest::Value, size_t> FirstOf;
-    for (size_t Idx = 0; Idx < NumTotal; ++Idx) {
-      const InstrId Inst = AuxInstrs[Idx];
-      lp::StructuralDigest D;
-      D.addSize(Slots[Idx].Kernels.size());
-      for (const WeightKernel &WK : Slots[Idx].Kernels) {
-        D.addDouble(WK.Ipc);
-        D.addInt(WK.PinnedResource);
-        D.addSize(WK.K.terms().size());
-        for (const auto &[Id, Mult] : WK.K.terms()) {
-          D.addU64(Id == Inst ? ~uint64_t{0} : Id);
-          D.addDouble(Mult);
-        }
+  std::map<lp::StructuralDigest::Value, size_t> FirstOf;
+  for (size_t Idx = 0; Idx < NumTotal; ++Idx) {
+    const InstrId Inst = AuxInstrs[Idx];
+    lp::StructuralDigest D;
+    D.addSize(Slots[Idx].Kernels.size());
+    for (const WeightKernel &WK : Slots[Idx].Kernels) {
+      D.addDouble(WK.Ipc);
+      D.addInt(WK.PinnedResource);
+      D.addSize(WK.K.terms().size());
+      for (const auto &[Id, Mult] : WK.K.terms()) {
+        D.addU64(Id == Inst ? ~uint64_t{0} : Id);
+        D.addDouble(Mult);
       }
-      auto [It, Inserted] = FirstOf.try_emplace(D.value(), Idx);
-      Slots[Idx].Rep = It->second;
-      if (Inserted)
-        UniqueIdx.push_back(Idx);
     }
+    auto [It, Inserted] = FirstOf.try_emplace(D.value(), Idx);
+    Slots[Idx].Rep = It->second;
+    if (Inserted)
+      UniqueIdx.push_back(Idx);
   }
 
   // ---- Phase B: one LPAUX solve per group. ----
@@ -824,12 +807,9 @@ void Pipeline::Impl::completeMapping() {
     const InstrId Inst = AuxInstrs[Idx];
     const lp::LpTelemetry TelBefore = lp::lpTelemetry();
 
-    BwpSolveOptions AuxOpts;
-    AuxOpts.ReuseModels = Config.Lp2ReuseModels;
-    AuxOpts.Decompose = Config.Lp2Decompose;
     Slots[Idx].Aux =
         solveAuxWeights(Shape, IndexOf, Weights.Rho, Inst, Slots[Idx].Kernels,
-                        Config.Mode, /*MaxPinIterations=*/4, AuxOpts);
+                        Config.Mode, /*MaxPinIterations=*/4);
     {
       // The solve is a deterministic function of the instruction, so the
       // per-task delta (and the index-ordered sum below) is independent
@@ -857,8 +837,7 @@ void Pipeline::Impl::completeMapping() {
     const InstrId Inst = AuxInstrs[Idx];
     AuxSlot &Slot = Slots[Idx];
     Result.Mapping.markMapped(Inst);
-    if (Config.Lp2Cache)
-      ++Result.Stats.LpWarmStartAttempts; // Group probe.
+    ++Result.Stats.LpWarmStartAttempts; // Group probe.
     if (Slot.Rep != Idx) {
       Slot.Aux = Slots[Slot.Rep].Aux;
       ++Result.Stats.LpWarmStartHits; // Deduplicated against the group.

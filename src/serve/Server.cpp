@@ -159,7 +159,7 @@ std::optional<std::string> Server::evaluateWire(const QueryRequest &Request,
   std::vector<size_t> MissPos;
   uint64_t BatchHits = 0, BatchMisses = 0;
   for (size_t I = 0; I < N; ++I) {
-    Per[I] = M->Cache->lookupPtr(Request.Kernels[I]);
+    Per[I] = M->Cache->lookup(Request.Kernels[I]);
     if (Per[I])
       ++BatchHits;
     else
@@ -168,16 +168,19 @@ std::optional<std::string> Server::evaluateWire(const QueryRequest &Request,
 
   if (!MissPos.empty()) {
     // Dedupe the missing texts; each distinct one is computed once.
-    std::unordered_map<std::string_view, uint64_t> Count;
+    std::unordered_map<std::string_view, size_t> DistinctOf;
     std::vector<const std::string *> Distinct;
+    std::vector<uint64_t> Occ;
     for (size_t I : MissPos) {
-      auto [It, Inserted] = Count.try_emplace(
-          std::string_view(Request.Kernels[I]), 0);
-      if (Inserted)
+      auto [It, Inserted] = DistinctOf.try_emplace(
+          std::string_view(Request.Kernels[I]), Distinct.size());
+      if (Inserted) {
         Distinct.push_back(&Request.Kernels[I]);
-      ++It->second;
+        Occ.push_back(0);
+      }
+      ++Occ[It->second];
     }
-    std::vector<char> WasHit(Distinct.size(), 0);
+    std::vector<Prediction> Computed;
     {
       const bool UseExec = Distinct.size() > 1 && Exec.numWorkers() > 1;
       // The executor is single-driver: hold the mutex across both of
@@ -185,39 +188,24 @@ std::optional<std::string> Server::evaluateWire(const QueryRequest &Request,
       std::unique_lock<std::mutex> Lock;
       if (UseExec)
         Lock = std::unique_lock<std::mutex>(ExecMutex);
-      std::vector<Prediction> Computed =
-          predictDistinct(*M, Distinct, UseExec);
-      for (size_t I = 0; I < Distinct.size(); ++I) {
-        // getOrCompute publishes the precomputed answer; if another
-        // connection raced us to the same kernel we merely discard a
-        // duplicate of the same deterministic result (WasHit reports it
-        // as a hit, exactly as before).
-        bool H = false;
-        M->Cache->getOrCompute(
-            *Distinct[I], [&] { return std::move(Computed[I]); }, &H);
-        WasHit[I] = H ? 1 : 0;
-      }
+      Computed = predictDistinct(*M, Distinct, UseExec);
     }
+    std::vector<const Prediction *> Stored(Distinct.size());
     for (size_t D = 0; D < Distinct.size(); ++D) {
-      uint64_t Occ = Count[std::string_view(*Distinct[D])];
-      if (WasHit[D]) {
-        // Raced with another connection computing the same kernel.
-        BatchHits += Occ;
-      } else {
+      auto [Entry, Inserted] =
+          M->Cache->publish(*Distinct[D], std::move(Computed[D]));
+      Stored[D] = Entry;
+      if (Inserted) {
         BatchMisses += 1;
-        BatchHits += Occ - 1; // In-batch duplicates of a computed kernel.
+        BatchHits += Occ[D] - 1; // In-batch duplicates of a computed kernel.
+      } else {
+        // Another connection published the same kernel first; its entry
+        // (the same deterministic result) stands.
+        BatchHits += Occ[D];
       }
     }
-    for (size_t I : MissPos) {
-      Per[I] = M->Cache->lookupPtr(Request.Kernels[I]);
-      if (!Per[I]) {
-        // Unreachable after a successful getOrCompute; guard anyway so a
-        // skipped compute degrades to an error instead of a null deref.
-        if (Error)
-          *Error = "internal error: prediction missing after compute";
-        return std::nullopt;
-      }
-    }
+    for (size_t I : MissPos)
+      Per[I] = Stored[DistinctOf[std::string_view(Request.Kernels[I])]];
   }
 
   std::string Out;

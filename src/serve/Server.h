@@ -18,7 +18,7 @@
 /// fanned over one shared palmed::Executor (serialized by a mutex held
 /// across both fans — the executor is single-driver by contract); cache
 /// hits never touch the executor. Each served machine fronts its mapping
-/// with a PredictionCache; results are inserted via getOrCompute, so a
+/// with a PredictionCache; results are published first-insert-wins, so a
 /// concurrent connection racing on the same kernel at worst duplicates
 /// deterministic work and still observes one canonical entry.
 ///

@@ -3,10 +3,9 @@
 // Part of the PALMED reproduction.
 //
 // Tests of the include/palmed/ facade: the staged Pipeline (equivalence
-// with the one-shot wrapper, observer callbacks, stage ordering,
+// with the one-shot run(), observer callbacks, stage ordering,
 // cancellation), the PredictorRegistry, and the EvalSession execution
-// policies (Serial vs Parallel determinism, clone/mutex fallbacks, and
-// equivalence with the deprecated runEvaluation).
+// policies (Serial vs Parallel determinism, clone/mutex fallbacks).
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,14 +17,6 @@
 #include <cstring>
 #include <stdexcept>
 #include <vector>
-
-// The wrapper-equivalence tests below call the deprecated entry points on
-// purpose.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-#include "core/PalmedDriver.h"
-#include "eval/Harness.h"
 
 using namespace palmed;
 
@@ -75,7 +66,8 @@ TEST(ApiPipeline, StagedRunEqualsOneShotWrapper) {
   AnalyticOracle O(M);
 
   BenchmarkRunner R1(M, O);
-  PalmedResult OneShot = runPalmed(R1); // Deprecated wrapper.
+  Pipeline OneShotPipeline(R1);
+  const PalmedResult &OneShot = OneShotPipeline.run();
 
   BenchmarkRunner R2(M, O);
   Pipeline P(R2);
@@ -101,7 +93,8 @@ TEST(ApiPipeline, RunResumesAfterInspectedStages) {
   MachineModel M = makeFig1Machine();
   AnalyticOracle O(M);
   BenchmarkRunner R1(M, O);
-  PalmedResult OneShot = runPalmed(R1);
+  Pipeline OneShotPipeline(R1);
+  const PalmedResult &OneShot = OneShotPipeline.run();
 
   BenchmarkRunner R2(M, O);
   Pipeline P(R2);
@@ -549,8 +542,11 @@ TEST(ApiEvalSession, MatchesDeprecatedRunEvaluation) {
   WCfg.NumBlocks = 120;
   auto Blocks = generateWorkload(M, WCfg);
 
-  EvalOutcome Old = runEvaluation(O, Blocks, {Iaca.get(), Mca.get()},
-                                  "iaca"); // Deprecated wrapper.
+  EvalSession Serial(O, ExecutionPolicy::serial());
+  Serial.setReferenceTool("iaca");
+  Serial.add(*Iaca);
+  Serial.add(*Mca);
+  EvalOutcome Old = Serial.run(Blocks);
 
   EvalSession S(O, ExecutionPolicy::parallel(3));
   S.setReferenceTool("iaca");

@@ -2,13 +2,12 @@
 //
 // Part of the PALMED reproduction.
 //
-// The stage-2 fit accepts solve-strategy knobs (BwpSolveOptions: component
-// decomposition, subproblem cache, model-buffer reuse, executor fan-out)
-// whose contract is that every combination produces bit-identical weights
-// — they only trade work. These tests pin that contract down, both on
-// direct solveCoreWeights calls (where pivot counts can be bracketed
-// exactly) and end-to-end through the pipeline on the shipped machine
-// profiles.
+// The stage-2 fit takes a subproblem cache and an executor
+// (BwpSolveOptions) whose contract is that neither changes the weights —
+// they only trade work. Direct solveCoreWeights calls pin that contract
+// down (where pivot counts can be bracketed exactly); golden runs of the
+// default pipeline on the shipped machine profiles pin the mappings, the
+// LP2 objective and the LP work end to end.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,6 +18,10 @@
 #include "support/Executor.h"
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdio>
+#include <string>
 
 using namespace palmed;
 
@@ -169,7 +172,7 @@ TEST(Lp2Digest, EmptyStreamsCollide) {
 // Subproblem cache semantics.
 //===----------------------------------------------------------------------===//
 
-TEST(Lp2Cache, FirstInsertWinsAndMergeIsOrdered) {
+TEST(Lp2SubproblemCache, FirstInsertWinsAndMergeIsOrdered) {
   lp::StructuralDigest D;
   D.addU64(7);
   const lp::StructuralDigest::Value K = D.value();
@@ -190,43 +193,6 @@ TEST(Lp2Cache, FirstInsertWinsAndMergeIsOrdered) {
 //===----------------------------------------------------------------------===//
 // Direct-solve equivalences (exact pivot accounting).
 //===----------------------------------------------------------------------===//
-
-TEST(Lp2Equivalence, DecomposeOnOffBitwise) {
-  TwoComponentFixture F;
-  lp::LpTelemetry On, Off;
-  BwpSolveOptions Decomposed;
-  Decomposed.Decompose = true;
-  BwpSolveOptions Monolithic;
-  Monolithic.Decompose = false;
-  CoreWeights WOn = solveWith(F, Decomposed, On);
-  CoreWeights WOff = solveWith(F, Monolithic, Off);
-  expectBitwiseEqual(WOn, WOff);
-  // With no cache in play the per-component fixpoints replay exactly the
-  // monolithic loop's solves (a converged component's objectives stop
-  // changing, so the monolithic loop skips them as identical
-  // subproblems).
-  EXPECT_EQ(On.Pivots, Off.Pivots);
-  EXPECT_EQ(On.Solves, Off.Solves);
-}
-
-TEST(Lp2Equivalence, ReuseModelsOnOffBitwise) {
-  // The satellite bugfix: per-iteration lp::Model reconstruction replaced
-  // by row patching. Identical model content must mean identical pivots.
-  TwoComponentFixture F;
-  lp::LpTelemetry On, Off;
-  BwpSolveOptions Reuse;
-  Reuse.ReuseModels = true;
-  BwpSolveOptions Fresh;
-  Fresh.ReuseModels = false;
-  // SoloIpc enables the balancing passes — the path that patches the
-  // primary-floor row and truncates the CapZ tail between iterations.
-  const std::vector<double> SoloIpc = {2.0, 1.0, 2.0, 1.0};
-  CoreWeights WOn = solveWith(F, Reuse, On, SoloIpc);
-  CoreWeights WOff = solveWith(F, Fresh, Off, SoloIpc);
-  expectBitwiseEqual(WOn, WOff);
-  EXPECT_EQ(On.Pivots, Off.Pivots);
-  EXPECT_EQ(On.Solves, Off.Solves);
-}
 
 TEST(Lp2Equivalence, CacheOnOffBitwiseValues) {
   TwoComponentFixture F;
@@ -249,7 +215,7 @@ TEST(Lp2Equivalence, CacheOnOffBitwiseValues) {
 }
 
 TEST(Lp2Equivalence, ExecutorFanOutBitwise) {
-  // Decomposed solve fanned over a real two-worker executor vs inline:
+  // Two-component solve fanned over a real two-worker executor vs inline:
   // identical weights, identical telemetry (the fan-out compensates
   // thread-local telemetry into index-ordered slots).
   TwoComponentFixture F;
@@ -266,95 +232,87 @@ TEST(Lp2Equivalence, ExecutorFanOutBitwise) {
   EXPECT_EQ(Fanned.Pivots, Inline.Pivots);
   EXPECT_EQ(Fanned.Solves, Inline.Solves);
   EXPECT_EQ(Stats.Components, 2);
-  EXPECT_TRUE(Stats.Decomposed);
 }
 
 //===----------------------------------------------------------------------===//
-// Pipeline-level equivalences on the shipped profiles.
+// Golden pins of the default pipeline on the shipped profiles.
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-struct ProfileRun {
-  std::string MappingText;
-  double CoreSlack = 0.0;
-  long CorePivots = 0;
-  long CompletePivots = 0;
-  long WarmAttempts = 0;
-  long WarmHits = 0;
-  long Components = 0;
+/// 64-bit FNV-1a of \p Bytes as 16 lowercase hex digits (the digest the
+/// benchmark reports as mapping_digest).
+std::string fnv1aHex(const std::string &Bytes) {
+  uint64_t H = 0xcbf29ce484222325ULL;
+  for (unsigned char C : Bytes) {
+    H ^= C;
+    H *= 0x100000001b3ULL;
+  }
+  char Buf[17];
+  std::snprintf(Buf, sizeof Buf, "%016llx",
+                static_cast<unsigned long long>(H));
+  return Buf;
+}
+
+/// What one default pipeline run must reproduce exactly: the mapping (by
+/// digest), the LP2 objective bit for bit, and the LP work that produced
+/// them.
+struct Golden {
+  const char *MappingDigest;
+  double CoreSlack;
+  long CorePivots;
+  long CompletePivots;
+  long WarmAttempts;
+  long WarmHits;
+  long Components;
+  size_t NumBenchmarks;
 };
 
-ProfileRun runProfile(const MachineModel &M, PalmedConfig Config) {
+void checkGolden(const MachineModel &M, const PalmedConfig &Config,
+                 const Golden &G) {
   AnalyticOracle Oracle(M);
   BenchmarkRunner Runner(M, Oracle);
   Pipeline P(Runner, Config);
   const PalmedResult &R = P.run();
-  ProfileRun Out;
-  Out.MappingText = R.Mapping.toText(M.isa());
-  Out.CoreSlack = R.Stats.CoreSlack;
-  Out.CorePivots = R.Stats.CoreLpPivots;
-  Out.CompletePivots = R.Stats.CompleteLpPivots;
-  Out.WarmAttempts = R.Stats.LpWarmStartAttempts;
-  Out.WarmHits = R.Stats.LpWarmStartHits;
-  Out.Components = R.Stats.Lp2Components;
-  return Out;
-}
-
-/// Decompose on vs off must agree bitwise on the mapping text (which
-/// carries the rho traces) and — with the cache off, so hit patterns
-/// cannot shift work — on the exact LP pivot counts.
-void checkDecomposeEquivalence(const MachineModel &M, PalmedConfig Config) {
-  Config.Lp2Cache = false;
-  PalmedConfig Mono = Config;
-  Mono.Lp2Decompose = false;
-  ProfileRun On = runProfile(M, Config);
-  ProfileRun Off = runProfile(M, Mono);
-  EXPECT_EQ(On.MappingText, Off.MappingText);
-  EXPECT_EQ(On.CoreSlack, Off.CoreSlack);
-  EXPECT_EQ(On.CorePivots, Off.CorePivots);
-  EXPECT_EQ(On.CompletePivots, Off.CompletePivots);
-  EXPECT_GE(On.Components, 1);
+  EXPECT_EQ(fnv1aHex(R.Mapping.toText(M.isa())), G.MappingDigest);
+  EXPECT_EQ(R.Stats.CoreSlack, G.CoreSlack);
+  EXPECT_EQ(R.Stats.CoreLpPivots, G.CorePivots);
+  EXPECT_EQ(R.Stats.CompleteLpPivots, G.CompletePivots);
+  EXPECT_EQ(R.Stats.LpWarmStartAttempts, G.WarmAttempts);
+  EXPECT_EQ(R.Stats.LpWarmStartHits, G.WarmHits);
+  EXPECT_EQ(R.Stats.Lp2Components, G.Components);
+  EXPECT_EQ(R.Stats.NumBenchmarks, G.NumBenchmarks);
 }
 
 } // namespace
 
-TEST(Lp2Pipeline, DecomposeEquivalenceFig1) {
-  checkDecomposeEquivalence(makeFig1Machine(), PalmedConfig());
+TEST(Lp2Golden, Fig1) {
+  checkGolden(makeFig1Machine(), PalmedConfig(),
+              {"77bb16e4b0dcadd4", 0x1.8542c2p-30, 1517, 0, 144, 32, 1, 90});
 }
 
-TEST(Lp2Pipeline, DecomposeEquivalenceSkl) {
-  checkDecomposeEquivalence(makeSklLike(), PalmedConfig());
+TEST(Lp2Golden, Skl) {
+  checkGolden(makeSklLike(), PalmedConfig(),
+              {"0025e6b1ab9ff5c9", 0x1.de77365a3958p+2, 18748, 891, 1724,
+               329, 1, 12448});
 }
 
-TEST(Lp2Pipeline, DecomposeEquivalenceStress) {
-  checkDecomposeEquivalence(makeStressMachine(StressIsaConfig()),
-                            PalmedConfig());
+TEST(Lp2Golden, Zen) {
+  checkGolden(makeZenLike(), PalmedConfig(),
+              {"6b38a0b2a817196d", 0x1.145dc3314835fp-1, 16154, 444, 1150,
+               362, 1, 6744});
 }
 
-TEST(Lp2Pipeline, DecomposeEquivalenceHuge) {
+TEST(Lp2Golden, Stress) {
+  checkGolden(makeStressMachine(StressIsaConfig()), PalmedConfig(),
+              {"01b1a33c87e350b1", 0x1.b31efde6f2dd3p+1, 18595, 1020, 1311,
+               531, 1, 37662});
+}
+
+TEST(Lp2Golden, Huge) {
   PalmedConfig Config;
   Config.Selection.ClusterPairPruning = true;
-  checkDecomposeEquivalence(makeStressMachine(hugeStressConfig()), Config);
-}
-
-TEST(Lp2Pipeline, WarmVsColdBitwiseSkl) {
-  MachineModel M = makeSklLike();
-  PalmedConfig Warm;
-  PalmedConfig Cold;
-  Cold.Lp2Cache = false;
-  ProfileRun W = runProfile(M, Warm);
-  ProfileRun C = runProfile(M, Cold);
-  // The cache only skips work; the mapping and its weights are bitwise
-  // unchanged.
-  EXPECT_EQ(W.MappingText, C.MappingText);
-  EXPECT_EQ(W.CoreSlack, C.CoreSlack);
-  // The warm run probes and hits; the cold run never counts an attempt.
-  EXPECT_GT(W.WarmAttempts, 0);
-  EXPECT_GT(W.WarmHits, 0);
-  EXPECT_EQ(C.WarmAttempts, 0);
-  EXPECT_EQ(C.WarmHits, 0);
-  EXPECT_LT(W.CorePivots + W.CompletePivots,
-            C.CorePivots + C.CompletePivots);
-  EXPECT_GE(W.Components, 1);
+  checkGolden(makeStressMachine(hugeStressConfig()), Config,
+              {"a6e132fa312c581c", 0x1.caae3162afe9bp+1, 121362, 7928, 4217,
+               2138, 1, 113181});
 }

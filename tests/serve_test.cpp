@@ -305,49 +305,52 @@ TEST(ServeProtocol, OversizedStringsTruncateToDecodableFrames) {
 
 TEST(ServeCache, ComputesOncePerKey) {
   PredictionCache Cache;
-  int Calls = 0;
-  auto Compute = [&] {
-    ++Calls;
-    Prediction P;
-    P.Ipc = 4.0;
-    return P;
-  };
-  bool Hit = true;
-  EXPECT_EQ(Cache.getOrCompute("k", Compute, &Hit).Ipc, 4.0);
-  EXPECT_FALSE(Hit);
-  EXPECT_EQ(Cache.getOrCompute("k", Compute, &Hit).Ipc, 4.0);
-  EXPECT_TRUE(Hit);
-  EXPECT_EQ(Calls, 1);
+  EXPECT_EQ(Cache.lookup("k"), nullptr);
+  Prediction First;
+  First.Ipc = 4.0;
+  auto [Stored, Inserted] = Cache.publish("k", std::move(First));
+  EXPECT_TRUE(Inserted);
+  EXPECT_EQ(Stored->Ipc, 4.0);
+
+  // A second publish of the same key loses: the first entry stands and
+  // keeps its address.
+  Prediction Second;
+  Second.Ipc = 5.0;
+  auto [Again, InsertedAgain] = Cache.publish("k", std::move(Second));
+  EXPECT_FALSE(InsertedAgain);
+  EXPECT_EQ(Again, Stored);
+  EXPECT_EQ(Again->Ipc, 4.0);
   EXPECT_EQ(Cache.size(), 1u);
 
-  Prediction Out;
-  EXPECT_TRUE(Cache.lookup("k", Out));
-  EXPECT_EQ(Out.Ipc, 4.0);
-  EXPECT_FALSE(Cache.lookup("other", Out));
+  EXPECT_EQ(Cache.lookup("k"), Stored);
+  EXPECT_EQ(Cache.lookup("other"), nullptr);
 }
 
 TEST(ServeCacheConcurrency, ExactlyOnceUnderContention) {
   PredictionCache Cache;
   constexpr int NumThreads = 8;
   constexpr int KeysPerThread = 64;
-  std::atomic<int> Computes{0};
+  std::atomic<int> Inserts{0};
   std::vector<std::thread> Threads;
   for (int T = 0; T < NumThreads; ++T)
-    Threads.emplace_back([&] {
+    Threads.emplace_back([&, T] {
       for (int K = 0; K < KeysPerThread; ++K) {
         std::string Key = "kernel-" + std::to_string(K);
-        Prediction P = Cache.getOrCompute(Key, [&] {
-          Computes.fetch_add(1);
-          Prediction Q;
-          Q.Ipc = static_cast<double>(K);
-          return Q;
-        });
-        EXPECT_EQ(P.Ipc, static_cast<double>(K));
+        Prediction P;
+        P.Ipc = static_cast<double>(K);
+        P.Bottlenecks = {static_cast<uint32_t>(T)};
+        auto [Stored, Inserted] = Cache.publish(Key, std::move(P));
+        if (Inserted)
+          Inserts.fetch_add(1);
+        EXPECT_EQ(Stored->Ipc, static_cast<double>(K));
+        EXPECT_EQ(Cache.lookup(Key), Stored);
       }
     });
   for (std::thread &T : Threads)
     T.join();
-  EXPECT_EQ(Computes.load(), KeysPerThread);
+  // Every key was inserted by exactly one thread, whose entry every other
+  // thread observed.
+  EXPECT_EQ(Inserts.load(), KeysPerThread);
   EXPECT_EQ(Cache.size(), static_cast<size_t>(KeysPerThread));
 }
 

@@ -31,16 +31,8 @@ an inline suppression on the same line or the line above:
 The reason is mandatory; suppressions are counted and reported so waivers
 stay visible. Exit status is 1 when any unsuppressed finding remains.
 
-Two engines produce the findings:
-
-  --mode=regex   pure-regex scanner over comment/string-stripped source;
-                 zero dependencies, runs anywhere (the CI default).
-  --mode=clang   libclang (clang.cindex) over compile_commands.json for
-                 type-accurate detection of the container rules; falls
-                 back is NOT automatic — the mode errors out when the
-                 bindings or the compilation database are missing.
-  --mode=auto    clang when importable and a compilation database exists,
-                 regex otherwise (the default).
+The scanner is pure regex over comment/string-stripped source: zero
+dependencies, runs anywhere.
 """
 
 import argparse
@@ -229,7 +221,7 @@ def tail_identifier(expr):
 
 def unordered_var_names(stripped):
     """Names of variables/members declared with an unordered container
-    type anywhere in this file (regex engine's approximation of a type
+    type anywhere in this file (a regex approximation of a type
     lookup)."""
     names = set()
     for m in UNORDERED_RE.finditer(stripped):
@@ -365,7 +357,7 @@ def apply_suppressions(findings, original_text):
 
 
 def lint_text(path, text, extra_names=None):
-    """All findings for one file's contents (regex engine).
+    """All findings for one file's contents.
 
     extra_names: unordered-container member/variable names declared in
     *other* files under the lint root (headers, most importantly), so a
@@ -392,85 +384,6 @@ def lint_text(path, text, extra_names=None):
     return findings
 
 
-# ---------------------------------------------------------------------------
-# libclang engine (optional): type-accurate container rules driven from
-# compile_commands.json. The parallel-float-accum rule stays regex-based —
-# it is a structural heuristic either way.
-# ---------------------------------------------------------------------------
-
-def lint_file_clang(path, text, compile_db_dir):
-    from clang import cindex  # May raise ImportError — caller handles.
-
-    db = cindex.CompilationDatabase.fromDirectory(compile_db_dir)
-    cmds = db.getCompileCommands(os.path.abspath(path))
-    args = []
-    if cmds:
-        # Drop the compiler argv0 and the -c/-o/source arguments.
-        it = iter(list(cmds[0].arguments)[1:])
-        for a in it:
-            if a in ("-c", "-o"):
-                next(it, None)
-            elif a != os.path.abspath(path) and a != cmds[0].filename:
-                args.append(a)
-    index = cindex.Index.create()
-    tu = index.parse(path, args=args)
-    findings = []
-
-    def type_spelling(node):
-        try:
-            return node.type.get_canonical().spelling or ""
-        except Exception:
-            return ""
-
-    for node in tu.cursor.walk_preorder():
-        if node.location.file is None or \
-                os.path.abspath(str(node.location.file)) != \
-                os.path.abspath(path):
-            continue
-        line = node.location.line
-        if node.kind == cindex.CursorKind.CXX_FOR_RANGE_STMT:
-            children = list(node.get_children())
-            if children:
-                range_expr = children[-2] if len(children) >= 2 else None
-                spelling = type_spelling(range_expr) if range_expr else ""
-                if "unordered_map" in spelling or \
-                        "unordered_set" in spelling or \
-                        "unordered_multi" in spelling:
-                    findings.append(Finding(
-                        path, line, "unordered-iter",
-                        "range-for over '%s': %s" % (
-                            spelling[:80], RULES["unordered-iter"])))
-        elif node.kind in (cindex.CursorKind.VAR_DECL,
-                           cindex.CursorKind.FIELD_DECL):
-            spelling = type_spelling(node)
-            m = re.search(r"\b(?:unordered_)?(?:map|set|multimap|multiset)"
-                          r"<([^,>]*\*)\s*(?:,|>)", spelling)
-            if m:
-                findings.append(Finding(
-                    path, line, "pointer-key",
-                    "container keyed by pointer type '%s': %s" % (
-                        m.group(1).strip(), RULES["pointer-key"])))
-        elif node.kind == cindex.CursorKind.CALL_EXPR:
-            if node.spelling in ("rand", "srand", "time") and \
-                    not re.search(r"(^|/)support/Rng\.(h|cpp)$",
-                                  path.replace(os.sep, "/")):
-                findings.append(Finding(
-                    path, line, "raw-random",
-                    "%s(): %s" % (node.spelling, RULES["raw-random"])))
-        elif node.kind == cindex.CursorKind.DECL_REF_EXPR:
-            if node.spelling == "random_device":
-                findings.append(Finding(
-                    path, line, "raw-random",
-                    "std::random_device: %s" % RULES["raw-random"]))
-
-    stripped = strip_comments_and_strings(text)
-    offsets = newline_offsets(stripped)
-    findings += find_parallel_float_accum(path, stripped, offsets)
-    apply_suppressions(findings, text)
-    findings.sort(key=lambda f: (f.line, f.rule))
-    return findings
-
-
 def collect_files(root):
     exts = (".h", ".hpp", ".cpp", ".cc", ".cxx")
     out = []
@@ -487,31 +400,9 @@ def main(argv=None):
         formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--root", default="src",
                     help="directory (or single file) to lint [src]")
-    ap.add_argument("--mode", choices=["auto", "regex", "clang"],
-                    default="auto")
-    ap.add_argument("--compile-commands", default="build",
-                    help="directory containing compile_commands.json "
-                         "(clang mode) [build]")
     ap.add_argument("--list-suppressions", action="store_true",
                     help="also print every active suppression")
     args = ap.parse_args(argv)
-
-    mode = args.mode
-    if mode == "auto":
-        have_db = os.path.exists(
-            os.path.join(args.compile_commands, "compile_commands.json"))
-        try:
-            import clang.cindex  # noqa: F401
-            mode = "clang" if have_db else "regex"
-        except ImportError:
-            mode = "regex"
-    if mode == "clang":
-        try:
-            import clang.cindex  # noqa: F401
-        except ImportError:
-            print("determinism_lint: --mode=clang requires the libclang "
-                  "python bindings (python3-clang)", file=sys.stderr)
-            return 2
 
     files = [args.root] if os.path.isfile(args.root) \
         else collect_files(args.root)
@@ -527,12 +418,7 @@ def main(argv=None):
             strip_comments_and_strings(text))
     all_findings = []
     for path in files:
-        text = texts[path]
-        if mode == "clang":
-            all_findings += lint_file_clang(path, text,
-                                            args.compile_commands)
-        else:
-            all_findings += lint_text(path, text, global_names)
+        all_findings += lint_text(path, texts[path], global_names)
 
     unsuppressed = [f for f in all_findings if not f.suppressed]
     suppressed = [f for f in all_findings if f.suppressed]
@@ -541,9 +427,8 @@ def main(argv=None):
     if args.list_suppressions or suppressed:
         for f in suppressed:
             print(f)
-    print("determinism_lint (%s mode): %d file(s), %d finding(s), "
-          "%d suppressed" % (mode, len(files), len(unsuppressed),
-                             len(suppressed)))
+    print("determinism_lint: %d file(s), %d finding(s), %d suppressed" % (
+        len(files), len(unsuppressed), len(suppressed)))
     return 1 if unsuppressed else 0
 
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Self-tests for determinism_lint.py (regex engine).
+"""Self-tests for determinism_lint.py.
 
 Each test feeds a minimal known-bad C++ snippet through lint_text and
 asserts the expected rule fires exactly where intended — and nowhere
