@@ -85,9 +85,11 @@ struct PalmedStats {
   long CompleteLpPivots = 0;
   long LpWarmStartAttempts = 0;
   long LpWarmStartHits = 0;
-  /// Resource-coupling components of the final LP2 refit (1 = monolithic;
-  /// 0 = the refit never ran). A structural property of the shape, so it
-  /// is part of the Serial==Parallel bitwise stats contract.
+  /// Resource-coupling components of the final LP2 refit (1 = shared
+  /// kernels connect all resources; 0 = the refit never ran). A
+  /// diagnostic count of the shape's structure: LP2 runs one pin loop
+  /// whatever its value. It is part of the Serial==Parallel bitwise stats
+  /// contract.
   long Lp2Components = 0;
   /// Resolved executor width the pipeline ran with (1 = serial). A thread
   /// counter, not a mapping outcome: it is the one stats field allowed to

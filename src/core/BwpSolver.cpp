@@ -8,7 +8,6 @@
 
 #include "lp/Milp.h"
 #include "lp/Simplex.h"
-#include "support/Executor.h"
 
 #include <algorithm>
 #include <cassert>
@@ -30,27 +29,6 @@ lp::SimplexOptions compatLpOptions() {
   lp::SimplexOptions Options;
   Options.Pricing = lp::LpPricing::Dantzig;
   return Options;
-}
-
-lp::LpTelemetry telemetryDelta(const lp::LpTelemetry &Now,
-                               const lp::LpTelemetry &Before) {
-  lp::LpTelemetry D;
-  D.Solves = Now.Solves - Before.Solves;
-  D.Pivots = Now.Pivots - Before.Pivots;
-  D.DualPivots = Now.DualPivots - Before.DualPivots;
-  D.BoundFlips = Now.BoundFlips - Before.BoundFlips;
-  D.WarmStartAttempts = Now.WarmStartAttempts - Before.WarmStartAttempts;
-  D.WarmStartHits = Now.WarmStartHits - Before.WarmStartHits;
-  return D;
-}
-
-void telemetryAdd(lp::LpTelemetry &T, const lp::LpTelemetry &D) {
-  T.Solves += D.Solves;
-  T.Pivots += D.Pivots;
-  T.DualPivots += D.DualPivots;
-  T.BoundFlips += D.BoundFlips;
-  T.WarmStartAttempts += D.WarmStartAttempts;
-  T.WarmStartHits += D.WarmStartHits;
 }
 
 /// Shared LP2/LPAUX machinery: free weight variables plus frozen
@@ -162,18 +140,12 @@ private:
     size_t NumCapacityRows = 0;
   };
 
-  /// Partitions resources (and their kernels) into coupling components.
-  /// Each variable belongs to exactly one resource and each kernel only
-  /// reads/constrains/pins within its Supported set, so two resources
-  /// interact only when some kernel supports both: solving the union-find
-  /// components separately — in any order, or in parallel — reproduces
-  /// one interleaved pin loop over all resources bit for bit (a converged
-  /// component's objectives stop changing, so that loop's extra passes
-  /// over it would be skipped as identical subproblems anyway).
-  void buildComponents(std::vector<std::vector<size_t>> &CompResources,
-                       std::vector<std::vector<size_t>> &CompKernels) const {
-    CompResources.clear();
-    CompKernels.clear();
+  /// Number of resource-coupling components: two resources couple when
+  /// some kernel loads both. Each variable belongs to one resource and
+  /// each kernel only reads, constrains and pins within its Supported set,
+  /// so components never interact; the count is a diagnostic of the
+  /// problem's structure and selects no code path.
+  int countComponents() const {
     std::vector<size_t> Parent(NumResources);
     std::iota(Parent.begin(), Parent.end(), size_t{0});
     auto Find = [&](size_t R) {
@@ -186,37 +158,24 @@ private:
     for (const KernelRow &Row : Rows)
       for (size_t I = 1; I < Row.Supported.size(); ++I)
         Parent[Find(Row.Supported[I])] = Find(Row.Supported[0]);
-    // Component ids in ascending order of their smallest resource, so the
-    // decomposition (and everything derived from it) is deterministic.
-    std::vector<int> CompId(NumResources, -1);
-    for (size_t R = 0; R < NumResources; ++R) {
-      size_t Root = Find(R);
-      if (CompId[Root] < 0) {
-        CompId[Root] = static_cast<int>(CompResources.size());
-        CompResources.emplace_back();
-        CompKernels.emplace_back();
-      }
-      CompResources[static_cast<size_t>(CompId[Root])].push_back(R);
-    }
-    for (size_t K = 0; K < Rows.size(); ++K) {
-      if (Rows[K].Supported.empty())
-        continue; // No loads anywhere: contributes nothing to any solve.
-      CompKernels[static_cast<size_t>(CompId[Find(Rows[K].Supported[0])])]
-          .push_back(K);
-    }
+    int Count = 0;
+    for (size_t R = 0; R < NumResources; ++R)
+      if (Find(R) == R)
+        ++Count;
+    return Count;
   }
 
   /// Pinned mode exploits the BWP's structure: the capacity constraints
   /// sum weights *within* one resource only, and the pinned objective is a
   /// sum of per-resource terms — so each pin iteration decomposes into one
   /// small LP per resource, keeping the core problem tractable even with
-  /// thousands of kernels. On top of that per-resource split, the solve
-  /// decomposes into resource-coupling components (see buildComponents)
-  /// that run independently, optionally fanned over an Executor, and an
-  /// optional cross-call cache short-circuits blocks whose exact structure
-  /// was solved before.
+  /// thousands of kernels. An optional cross-call cache short-circuits
+  /// blocks whose exact structure was solved before.
   std::vector<double> solvePinned(int MaxPinIterations, bool &Feasible,
                                   const BwpSolveOptions &Opts) {
+    if (Opts.Stats)
+      Opts.Stats->Components = countComponents();
+
     // Working pins; fixed pins are respected, free pins start unassigned.
     std::vector<int> Pins(Rows.size(), -1);
     for (size_t K = 0; K < Rows.size(); ++K)
@@ -247,345 +206,255 @@ private:
         NumResources);
     std::vector<uint8_t> HasPrev(NumResources, 0);
 
-    std::vector<std::vector<size_t>> CompResources, CompKernels;
-    buildComponents(CompResources, CompKernels);
-    const size_t NumComps = CompResources.size();
-    if (Opts.Stats)
-      Opts.Stats->Components = static_cast<int>(NumComps);
-
-    // Per-resource scratch. Shared across components, but every component
-    // only touches its own resources, so all writes are disjoint (the
-    // index-slot discipline of the fan-out below).
     std::vector<std::unique_ptr<ResourceModels>> Models(NumResources);
+    // Constraint skeleton of each resource's block (rows, bounds, scales,
+    // tie-break): the prefix of its cache key, built on first probe.
     std::vector<lp::StructuralDigest> SkelDigest(NumResources);
     std::vector<uint8_t> HasSkel(NumResources, 0);
+    // Local variable renumbering scratch, written and undone per block
+    // instead of re-allocated NumVars-wide on every solve.
+    std::vector<int> LocalOf(NumVars, -1);
 
-    // Solves one component to its own pin fixed point. Cache probes check
-    // \p Sink (the component's publish target) before \p Shared (the
-    // read-only pre-solve snapshot); a null \p Shared means \p Sink is
-    // probed alone. Returns false when any block failed to solve — the
-    // component then stops after the failing pass. (The other components
-    // still run to their own fixed points; that is benign because every
-    // caller discards the weights of an infeasible solve.)
-    auto RunComponent = [&](size_t CI, const BwpSubproblemCache *Shared,
-                            BwpSubproblemCache *Sink) -> bool {
-      // Component-local variable renumbering scratch, written and undone
-      // per block instead of re-allocated NumVars-wide on every solve.
-      std::vector<int> LocalOf(NumVars, -1);
-      const std::vector<size_t> &Resources = CompResources[CI];
-      const std::vector<size_t> &Kernels = CompKernels[CI];
-      for (int Iter = 0; Iter < MaxPinIterations; ++Iter) {
-        bool AllSolved = true;
-        for (size_t R : Resources) {
-          const std::vector<size_t> &RVars = ResourceVars[R];
-          if (RVars.empty())
-            continue;
-          for (size_t I = 0; I < RVars.size(); ++I)
-            LocalOf[RVars[I]] = static_cast<int>(I);
-          bool BlockSolved = [&]() -> bool {
-            // Saturation objective (pinned loads); the tie-break is kept
-            // in a separate expression so the balancing pass can preserve
-            // the saturation value exactly, without the tie-break
-            // distorting it. Local variable ids equal their position in
-            // ResourceVars[R].
-            lp::LinearExpr PinnedObj;
-            for (size_t K : Kernels) {
-              const KernelRow &Row = Rows[K];
-              if (Row.VarLoad[R].empty() && Row.FrozenLoad[R] == 0.0)
-                continue;
-              if (Pins[K] == static_cast<int>(R)) {
-                for (const auto &[V, C] : Row.VarLoad[R])
-                  PinnedObj.add(LocalOf[V], C / Row.TMeas);
-              } else if (Pins[K] == -1) {
-                // Unpinned (first iteration): spread the objective across
-                // the kernel's supported resources.
-                double Scale = Row.TMeas *
-                               static_cast<double>(
-                                   std::max<size_t>(1, Row.Supported.size()));
-                for (const auto &[V, C] : Row.VarLoad[R])
-                  PinnedObj.add(LocalOf[V], C / Scale);
-              }
+    Feasible = true;
+    for (int Iter = 0; Iter < MaxPinIterations; ++Iter) {
+      for (size_t R = 0; R < NumResources; ++R) {
+        const std::vector<size_t> &RVars = ResourceVars[R];
+        if (RVars.empty())
+          continue;
+        for (size_t I = 0; I < RVars.size(); ++I)
+          LocalOf[RVars[I]] = static_cast<int>(I);
+        bool BlockSolved = [&]() -> bool {
+          // Saturation objective (pinned loads); the tie-break is kept in
+          // a separate expression so the balancing pass can preserve the
+          // saturation value exactly, without the tie-break distorting
+          // it. Local variable ids equal their position in
+          // ResourceVars[R].
+          lp::LinearExpr PinnedObj;
+          for (size_t K = 0; K < Rows.size(); ++K) {
+            const KernelRow &Row = Rows[K];
+            if (Row.VarLoad[R].empty() && Row.FrozenLoad[R] == 0.0)
+              continue;
+            if (Pins[K] == static_cast<int>(R)) {
+              for (const auto &[V, C] : Row.VarLoad[R])
+                PinnedObj.add(LocalOf[V], C / Row.TMeas);
+            } else if (Pins[K] == -1) {
+              // Unpinned (first iteration): spread the objective across
+              // the kernel's supported resources.
+              double Scale = Row.TMeas *
+                             static_cast<double>(
+                                 std::max<size_t>(1, Row.Supported.size()));
+              for (const auto &[V, C] : Row.VarLoad[R])
+                PinnedObj.add(LocalOf[V], C / Scale);
             }
-            PinnedObj.normalize();
-            if (HasPrev[R] && PrevObj[R] == PinnedObj.terms())
-              return true; // Identical subproblem: Values[.] already hold
-                           // its solution.
+          }
+          PinnedObj.normalize();
+          if (HasPrev[R] && PrevObj[R] == PinnedObj.terms())
+            return true; // Identical subproblem: Values[.] already hold its
+                         // solution.
 
-            // Cache probe: the block digest covers everything the block's
-            // solution depends on (bounds, scales, tie-break, capacity
-            // rows in local numbering, pinned objective), so an exact hit
-            // replays the deterministic solver's output verbatim.
-            lp::StructuralDigest BlockDigest;
-            if (Opts.Cache) {
-              if (!HasSkel[R]) {
-                lp::StructuralDigest &D = SkelDigest[R];
-                D.addSize(RVars.size());
+          // Cache probe: the block digest covers everything the block's
+          // solution depends on (bounds, scales, tie-break, capacity rows
+          // in local numbering, pinned objective), so an exact hit replays
+          // the deterministic solver's output verbatim.
+          lp::StructuralDigest BlockDigest;
+          if (Opts.Cache) {
+            if (!HasSkel[R]) {
+              lp::StructuralDigest &D = SkelDigest[R];
+              D.addSize(RVars.size());
+              for (size_t V : RVars)
+                D.addDouble(VarUpperBounds[V]);
+              D.addU64(VarScales.empty() ? 0 : 1);
+              if (!VarScales.empty())
                 for (size_t V : RVars)
-                  D.addDouble(VarUpperBounds[V]);
-                D.addU64(VarScales.empty() ? 0 : 1);
-                if (!VarScales.empty())
-                  for (size_t V : RVars)
-                    D.addDouble(VarScales[V]);
-                D.addDouble(TieBreak);
-                size_t NumRowsR = 0;
-                for (size_t K : Kernels)
-                  if (!Rows[K].VarLoad[R].empty())
-                    ++NumRowsR;
-                D.addSize(NumRowsR);
-                for (size_t K : Kernels) {
-                  const KernelRow &Row = Rows[K];
-                  if (Row.VarLoad[R].empty())
-                    continue;
-                  D.addSize(Row.VarLoad[R].size());
-                  for (const auto &[V, C] : Row.VarLoad[R]) {
-                    D.addInt(LocalOf[V]);
-                    D.addDouble(C);
-                  }
-                  D.addDouble(std::max(0.0, Row.TMeas - Row.FrozenLoad[R]));
-                }
-                HasSkel[R] = 1;
-              }
-              BlockDigest = SkelDigest[R];
-              BlockDigest.addSize(PinnedObj.terms().size());
-              for (const auto &[V, C] : PinnedObj.terms()) {
-                BlockDigest.addInt(V);
-                BlockDigest.addDouble(C);
-              }
-              ++lp::lpTelemetry().WarmStartAttempts;
-              const lp::StructuralDigest::Value BD = BlockDigest.value();
-              const BwpSubproblemCache::Entry *Hit = Sink->find(BD);
-              if (!Hit && Shared)
-                Hit = Shared->find(BD);
-              if (Hit) {
-                assert(Hit->Values.size() == RVars.size());
-                ++lp::lpTelemetry().WarmStartHits;
-                for (size_t I = 0; I < RVars.size(); ++I)
-                  Values[RVars[I]] = Hit->Values[I];
-                PrevObj[R] = PinnedObj.terms();
-                HasPrev[R] = 1;
-                return true;
-              }
-            }
-            auto Publish = [&] {
-              if (!Opts.Cache)
-                return;
-              BwpSubproblemCache::Entry E;
-              E.Values.reserve(RVars.size());
-              for (size_t V : RVars)
-                E.Values.push_back(Values[V]);
-              Sink->insert(BlockDigest.value(), std::move(E));
-            };
-
-            if (!Models[R])
-              Models[R] = std::make_unique<ResourceModels>();
-            ResourceModels &RM = *Models[R];
-            lp::Model &M = RM.Primary;
-            if (!RM.PrimaryBuilt) {
+                  D.addDouble(VarScales[V]);
+              D.addDouble(TieBreak);
               size_t NumRowsR = 0;
-              // Variable ids coincide with local indices by construction.
+              for (const KernelRow &Row : Rows)
+                if (!Row.VarLoad[R].empty())
+                  ++NumRowsR;
+              D.addSize(NumRowsR);
+              for (const KernelRow &Row : Rows) {
+                if (Row.VarLoad[R].empty())
+                  continue;
+                D.addSize(Row.VarLoad[R].size());
+                for (const auto &[V, C] : Row.VarLoad[R]) {
+                  D.addInt(LocalOf[V]);
+                  D.addDouble(C);
+                }
+                D.addDouble(std::max(0.0, Row.TMeas - Row.FrozenLoad[R]));
+              }
+              HasSkel[R] = 1;
+            }
+            BlockDigest = SkelDigest[R];
+            BlockDigest.addSize(PinnedObj.terms().size());
+            for (const auto &[V, C] : PinnedObj.terms()) {
+              BlockDigest.addInt(V);
+              BlockDigest.addDouble(C);
+            }
+            ++lp::lpTelemetry().WarmStartAttempts;
+            if (const BwpSubproblemCache::Entry *Hit =
+                    Opts.Cache->find(BlockDigest.value())) {
+              assert(Hit->Values.size() == RVars.size());
+              ++lp::lpTelemetry().WarmStartHits;
+              for (size_t I = 0; I < RVars.size(); ++I)
+                Values[RVars[I]] = Hit->Values[I];
+              PrevObj[R] = PinnedObj.terms();
+              HasPrev[R] = 1;
+              return true;
+            }
+          }
+          auto Publish = [&] {
+            if (!Opts.Cache)
+              return;
+            BwpSubproblemCache::Entry E;
+            E.Values.reserve(RVars.size());
+            for (size_t V : RVars)
+              E.Values.push_back(Values[V]);
+            Opts.Cache->insert(BlockDigest.value(), std::move(E));
+          };
+
+          if (!Models[R])
+            Models[R] = std::make_unique<ResourceModels>();
+          ResourceModels &RM = *Models[R];
+          lp::Model &M = RM.Primary;
+          if (!RM.PrimaryBuilt) {
+            size_t NumRowsR = 0;
+            // Variable ids coincide with local indices by construction.
+            for (size_t V : RVars)
+              M.addVar(std::string(), 0.0, VarUpperBounds[V]);
+            for (const KernelRow &Row : Rows) {
+              if (Row.VarLoad[R].empty())
+                continue;
+              lp::LinearExpr Load;
+              for (const auto &[V, C] : Row.VarLoad[R])
+                Load.add(LocalOf[V], C);
+              M.addConstraint(std::move(Load), lp::Sense::LE,
+                              std::max(0.0, Row.TMeas - Row.FrozenLoad[R]));
+              ++NumRowsR;
+            }
+            RM.PrimaryBuilt = true;
+            RM.NumCapacityRows = NumRowsR;
+          }
+          lp::LinearExpr Obj = PinnedObj;
+          for (size_t I = 0; I < RVars.size(); ++I)
+            Obj.add(static_cast<lp::VarId>(I), TieBreak);
+          M.setObjective(std::move(Obj), lp::Goal::Maximize);
+          lp::Solution Sol = lp::solveLp(M, {}, compatLpOptions());
+          if (Sol.Status != lp::SolveStatus::Optimal)
+            return false;
+          PrevObj[R] = PinnedObj.terms();
+          HasPrev[R] = 1;
+          if (!VarScales.empty()) {
+            // Balancing pass: the measured kernels often leave the split
+            // of a resource's capacity between instructions
+            // under-determined (any vertex of the optimal face fits). The
+            // dual's weights are uniform per resource (use/|J|), so among
+            // the optima prefer the most balanced one: fix the primary
+            // objective and minimize the largest scaled weight.
+            lp::Model &M2 = RM.Balance;
+            if (RM.BalanceBuilt) {
+              // Drop the previous iteration's CapZ tail; the rows and the
+              // primary-floor slot below survive verbatim.
+              M2.truncateConstraints(RM.BalanceBase);
+            } else {
               for (size_t V : RVars)
-                M.addVar(std::string(), 0.0, VarUpperBounds[V]);
-              for (size_t K : Kernels) {
-                const KernelRow &Row = Rows[K];
+                M2.addVar(std::string(), 0.0, VarUpperBounds[V]);
+              // Re-add the capacity rows.
+              for (const KernelRow &Row : Rows) {
                 if (Row.VarLoad[R].empty())
                   continue;
                 lp::LinearExpr Load;
                 for (const auto &[V, C] : Row.VarLoad[R])
                   Load.add(LocalOf[V], C);
-                M.addConstraint(std::move(Load), lp::Sense::LE,
-                                std::max(0.0, Row.TMeas - Row.FrozenLoad[R]));
-                ++NumRowsR;
+                M2.addConstraint(std::move(Load), lp::Sense::LE,
+                                 std::max(0.0, Row.TMeas - Row.FrozenLoad[R]));
               }
-              RM.PrimaryBuilt = true;
-              RM.NumCapacityRows = NumRowsR;
+              // Primary-objective floor: placeholder row at a stable
+              // index, patched (replaceConstraint) before every solve.
+              M2.addConstraint(lp::LinearExpr(), lp::Sense::GE, 0.0);
+              RM.BalanceZ = M2.addVar("z", 0.0, lp::Infinity);
+              for (size_t V : RVars) {
+                lp::LinearExpr E;
+                E.add(LocalOf[V], VarScales[V]).add(RM.BalanceZ, -1.0);
+                M2.addConstraint(std::move(E), lp::Sense::LE, 0.0);
+              }
+              RM.BalanceBuilt = true;
+              RM.BalanceBase = M2.numConstraints();
             }
-            lp::LinearExpr Obj = PinnedObj;
-            for (size_t I = 0; I < RVars.size(); ++I)
-              Obj.add(static_cast<lp::VarId>(I), TieBreak);
-            M.setObjective(std::move(Obj), lp::Goal::Maximize);
-            // Warm-start plumbing: seed from the last basis exported for
-            // this constraint skeleton and export this solve's final
-            // basis back. The compat solver ignores the seed (its pivot
-            // arithmetic is pinned — automatic cold fallback), so this
-            // only changes work, never values, for any solver mode.
-            const lp::SimplexBasis *Warm = nullptr;
-            lp::SimplexBasis Final;
-            if (Opts.Cache) {
-              const lp::StructuralDigest::Value SK = SkelDigest[R].value();
-              Warm = Sink->findBasis(SK);
-              if (!Warm && Shared)
-                Warm = Shared->findBasis(SK);
+            const lp::VarId Z = RM.BalanceZ;
+            // Keep the saturation-objective value (model M's variable ids
+            // coincide with local indices, as do M2's).
+            lp::LinearExpr Primary;
+            double PinnedValue = 0.0;
+            for (const auto &[V, C] : PinnedObj.terms()) {
+              Primary.add(V, C);
+              PinnedValue += C * Sol.value(V);
             }
-            lp::Solution Sol =
-                lp::solveLp(M, {}, compatLpOptions(), Warm,
-                            Opts.Cache ? &Final : nullptr);
-            if (Sol.Status != lp::SolveStatus::Optimal)
-              return false;
-            PrevObj[R] = PinnedObj.terms();
-            HasPrev[R] = 1;
-            if (Opts.Cache && !Final.empty())
-              Sink->storeBasis(SkelDigest[R].value(), Final);
-            if (!VarScales.empty()) {
-              // Balancing pass: the measured kernels often leave the
-              // split of a resource's capacity between instructions
-              // under-determined (any vertex of the optimal face fits).
-              // The dual's weights are uniform per resource (use/|J|), so
-              // among the optima prefer the most balanced one: fix the
-              // primary objective and minimize the largest scaled weight.
-              lp::Model &M2 = RM.Balance;
-              if (RM.BalanceBuilt) {
-                // Drop the previous iteration's CapZ tail; the rows and
-                // the primary-floor slot below survive verbatim.
-                M2.truncateConstraints(RM.BalanceBase);
-              } else {
-                for (size_t V : RVars)
-                  M2.addVar(std::string(), 0.0, VarUpperBounds[V]);
-                // Re-add the capacity rows.
-                for (size_t K : Kernels) {
-                  const KernelRow &Row = Rows[K];
-                  if (Row.VarLoad[R].empty())
-                    continue;
-                  lp::LinearExpr Load;
-                  for (const auto &[V, C] : Row.VarLoad[R])
-                    Load.add(LocalOf[V], C);
-                  M2.addConstraint(std::move(Load), lp::Sense::LE,
-                                   std::max(0.0,
-                                            Row.TMeas - Row.FrozenLoad[R]));
-                }
-                // Primary-objective floor: placeholder row at a stable
-                // index, patched (replaceConstraint) before every solve.
-                M2.addConstraint(lp::LinearExpr(), lp::Sense::GE, 0.0);
-                RM.BalanceZ = M2.addVar("z", 0.0, lp::Infinity);
-                for (size_t V : RVars) {
-                  lp::LinearExpr E;
-                  E.add(LocalOf[V], VarScales[V]).add(RM.BalanceZ, -1.0);
-                  M2.addConstraint(std::move(E), lp::Sense::LE, 0.0);
-                }
-                RM.BalanceBuilt = true;
-                RM.BalanceBase = M2.numConstraints();
-              }
-              const lp::VarId Z = RM.BalanceZ;
-              // Keep the saturation-objective value (model M's variable
-              // ids coincide with local indices, as do M2's).
-              lp::LinearExpr Primary;
-              double PinnedValue = 0.0;
-              for (const auto &[V, C] : PinnedObj.terms()) {
-                Primary.add(V, C);
-                PinnedValue += C * Sol.value(V);
-              }
-              M2.replaceConstraint(RM.NumCapacityRows, std::move(Primary),
-                                   lp::Sense::GE, PinnedValue - 1e-9);
-              lp::LinearExpr Obj2;
-              Obj2.add(Z, 1.0);
-              M2.setObjective(std::move(Obj2), lp::Goal::Minimize);
-              lp::Solution Sol2 = lp::solveLp(M2, {}, compatLpOptions());
-              if (Sol2.Status == lp::SolveStatus::Optimal) {
-                // Third pass: with the saturation value and the balanced
-                // ceiling fixed, raise every weight to its consistent
-                // maximum (min-max alone leaves the non-binding weights
-                // at arbitrary vertices below the ceiling).
-                lp::LinearExpr CapZ;
-                CapZ.add(Z, 1.0);
-                M2.addConstraint(std::move(CapZ), lp::Sense::LE,
-                                 Sol2.Objective + 1e-9);
-                lp::LinearExpr Obj3;
-                for (size_t V : RVars)
-                  Obj3.add(LocalOf[V], 1.0);
-                M2.setObjective(std::move(Obj3), lp::Goal::Maximize);
-                lp::Solution Sol3 = lp::solveLp(M2, {}, compatLpOptions());
-                const lp::Solution &Fin =
-                    Sol3.Status == lp::SolveStatus::Optimal ? Sol3 : Sol2;
-                for (size_t V : RVars)
-                  Values[V] = Fin.value(LocalOf[V]);
-                Publish();
-                return true;
-              }
+            M2.replaceConstraint(RM.NumCapacityRows, std::move(Primary),
+                                 lp::Sense::GE, PinnedValue - 1e-9);
+            lp::LinearExpr Obj2;
+            Obj2.add(Z, 1.0);
+            M2.setObjective(std::move(Obj2), lp::Goal::Minimize);
+            lp::Solution Sol2 = lp::solveLp(M2, {}, compatLpOptions());
+            if (Sol2.Status == lp::SolveStatus::Optimal) {
+              // Third pass: with the saturation value and the balanced
+              // ceiling fixed, raise every weight to its consistent
+              // maximum (min-max alone leaves the non-binding weights at
+              // arbitrary vertices below the ceiling).
+              lp::LinearExpr CapZ;
+              CapZ.add(Z, 1.0);
+              M2.addConstraint(std::move(CapZ), lp::Sense::LE,
+                               Sol2.Objective + 1e-9);
+              lp::LinearExpr Obj3;
+              for (size_t V : RVars)
+                Obj3.add(LocalOf[V], 1.0);
+              M2.setObjective(std::move(Obj3), lp::Goal::Maximize);
+              lp::Solution Sol3 = lp::solveLp(M2, {}, compatLpOptions());
+              const lp::Solution &Fin =
+                  Sol3.Status == lp::SolveStatus::Optimal ? Sol3 : Sol2;
+              for (size_t V : RVars)
+                Values[V] = Fin.value(LocalOf[V]);
+              Publish();
+              return true;
             }
-            for (size_t V : RVars)
-              Values[V] = Sol.value(LocalOf[V]);
-            Publish();
-            return true;
-          }();
+          }
           for (size_t V : RVars)
-            LocalOf[V] = -1;
-          if (!BlockSolved)
-            AllSolved = false;
+            Values[V] = Sol.value(LocalOf[V]);
+          Publish();
+          return true;
+        }();
+        for (size_t V : RVars)
+          LocalOf[V] = -1;
+        if (!BlockSolved) {
+          // Every caller discards the weights of an infeasible solve.
+          Feasible = false;
+          return Values;
         }
-        if (!AllSolved)
-          return false;
-
-        // Re-derive pins for free kernels; stop at a fixed point.
-        bool Changed = false;
-        for (size_t K : Kernels) {
-          if (Rows[K].Pin != -1)
-            continue; // Fixed by the caller, or constraint-only.
-          const KernelRow &Row = Rows[K];
-          int BestR = -1;
-          double BestLoad = -1.0;
-          for (size_t R : Row.Supported) {
-            double L = load(Row, R, Values);
-            if (L > BestLoad + 1e-12) {
-              BestLoad = L;
-              BestR = static_cast<int>(R);
-            }
-          }
-          if (BestR != Pins[K]) {
-            Pins[K] = BestR;
-            Changed = true;
-          }
-        }
-        if (!Changed && Iter > 0)
-          break;
       }
-      return true;
-    };
 
-    if (!Opts.Exec || NumComps <= 1) {
-      // Inline (one component or no executor): components run in index
-      // order against the shared cache directly.
-      bool All = true;
-      for (size_t CI = 0; CI < NumComps; ++CI)
-        if (!RunComponent(CI, nullptr, Opts.Cache))
-          All = false;
-      Feasible = All;
-      return Values;
+      // Re-derive pins for free kernels; stop at a fixed point.
+      bool Changed = false;
+      for (size_t K = 0; K < Rows.size(); ++K) {
+        if (Rows[K].Pin != -1)
+          continue; // Fixed by the caller, or constraint-only.
+        const KernelRow &Row = Rows[K];
+        int BestR = -1;
+        double BestLoad = -1.0;
+        for (size_t R : Row.Supported) {
+          double L = load(Row, R, Values);
+          if (L > BestLoad + 1e-12) {
+            BestLoad = L;
+            BestR = static_cast<int>(R);
+          }
+        }
+        if (BestR != Pins[K]) {
+          Pins[K] = BestR;
+          Changed = true;
+        }
+      }
+      if (!Changed && Iter > 0)
+        break;
     }
-
-    // Component fan-out. Every task writes only index-slotted state (its
-    // own resources' Values/Models/digests, its own slot below), probes
-    // the shared cache read-only plus a component-local overlay, and
-    // parks its thread-local LP telemetry delta in its slot; the serial
-    // reduction then replays deltas and merges overlays in component
-    // order. Outcomes, stats, and cache contents are therefore
-    // bit-identical for any executor width, including width 1.
-    struct CompSlot {
-      lp::LpTelemetry Tel;
-      BwpSubproblemCache Local;
-      uint8_t Ok = 0;
-    };
-    std::vector<CompSlot> Slots(NumComps);
-    Opts.Exec->parallelFor(NumComps, [&](size_t CI, unsigned) {
-      lp::LpTelemetry &T = lp::lpTelemetry();
-      const lp::LpTelemetry Before = T;
-      CompSlot &S = Slots[CI];
-      S.Ok = RunComponent(CI, Opts.Cache, Opts.Cache ? &S.Local : nullptr)
-                 ? 1
-                 : 0;
-      S.Tel = telemetryDelta(T, Before);
-      T = Before; // Compensated: the reduction below re-applies the delta
-                  // on the calling thread, keeping the caller's
-                  // before/after telemetry bracketing exact.
-    });
-    bool All = true;
-    lp::LpTelemetry &T = lp::lpTelemetry();
-    for (size_t CI = 0; CI < NumComps; ++CI) {
-      CompSlot &S = Slots[CI];
-      All &= S.Ok != 0;
-      telemetryAdd(T, S.Tel);
-      if (Opts.Cache)
-        Opts.Cache->merge(std::move(S.Local));
-    }
-    Feasible = All;
     return Values;
   }
 
@@ -657,32 +526,7 @@ void BwpSubproblemCache::insert(const lp::StructuralDigest::Value &D,
   Entries.try_emplace(D, std::move(E));
 }
 
-const lp::SimplexBasis *
-BwpSubproblemCache::findBasis(const lp::StructuralDigest::Value &Skeleton) const {
-  auto It = Bases.find(Skeleton);
-  return It == Bases.end() ? nullptr : &It->second;
-}
-
-void BwpSubproblemCache::storeBasis(const lp::StructuralDigest::Value &Skeleton,
-                                    const lp::SimplexBasis &Basis) {
-  if (Bases.size() >= MaxEntries)
-    Bases.clear();
-  Bases[Skeleton] = Basis;
-}
-
-void BwpSubproblemCache::merge(BwpSubproblemCache &&Other) {
-  for (auto &[D, E] : Other.Entries)
-    insert(D, std::move(E));
-  for (auto &[D, B] : Other.Bases)
-    storeBasis(D, B);
-  Other.Entries.clear();
-  Other.Bases.clear();
-}
-
-void BwpSubproblemCache::clear() {
-  Entries.clear();
-  Bases.clear();
-}
+void BwpSubproblemCache::clear() { Entries.clear(); }
 
 CoreWeights palmed::solveCoreWeights(const MappingShape &Shape,
                                      const std::map<InstrId, size_t> &IndexOf,

@@ -30,14 +30,12 @@
 
 #include "core/ShapeSolver.h"
 #include "isa/Microkernel.h"
-#include "lp/Simplex.h"
+#include "lp/Model.h"
 
 #include <map>
 #include <vector>
 
 namespace palmed {
-
-class Executor;
 
 /// How the BWP objective's max is handled.
 enum class BwpMode { Pinned, ExactMilp };
@@ -48,13 +46,8 @@ enum class BwpMode { Pinned, ExactMilp };
 /// tie-break and pinned objective, all by coefficient bit pattern, never
 /// by pointer identity (determinism lint). An exact hit replays the
 /// stored solution verbatim, which is bit-identical to re-solving because
-/// the compat solver is deterministic, and skips the LPs entirely. A
-/// second, rows-only ("skeleton") index carries the last exported simplex
-/// basis per constraint skeleton, used to warm-start structure-identical
-/// solves under a fresh objective; compat-pinned call sites ignore the
-/// seed (cold fallback) so their pivot arithmetic stays exact.
-/// Both indices are ordered maps: lookups, inserts, and merges are
-/// deterministic regardless of thread count.
+/// the compat solver is deterministic, and skips the LPs entirely. The
+/// index is an ordered map, so lookups and inserts are deterministic.
 class BwpSubproblemCache {
 public:
   struct Entry {
@@ -67,16 +60,6 @@ public:
   /// First insert wins; entries are immutable once published.
   void insert(const lp::StructuralDigest::Value &D, Entry E);
 
-  const lp::SimplexBasis *
-  findBasis(const lp::StructuralDigest::Value &Skeleton) const;
-  void storeBasis(const lp::StructuralDigest::Value &Skeleton,
-                  const lp::SimplexBasis &Basis);
-
-  /// Deterministically folds \p Other in (first insert wins). Used to
-  /// publish per-component caches in component-index order after a
-  /// decomposed fan-out.
-  void merge(BwpSubproblemCache &&Other);
-
   size_t numEntries() const { return Entries.size(); }
   void clear();
 
@@ -87,25 +70,20 @@ private:
   static constexpr size_t MaxEntries = 1u << 20;
 
   std::map<lp::StructuralDigest::Value, Entry> Entries;
-  std::map<lp::StructuralDigest::Value, lp::SimplexBasis> Bases;
 };
 
 /// Outputs of one pinned solve, for stats plumbing.
 struct BwpSolveStats {
-  /// Resource-coupling components of the pinned decomposition (1 when the
-  /// problem is monolithic; 0 when the solve never ran or ran ExactMilp).
+  /// Resource-coupling components of the problem (1 when shared kernels
+  /// connect all resources; 0 when the solve never ran or ran ExactMilp).
+  /// A diagnostic count: the pin loop runs the same way for any value.
   int Components = 0;
 };
 
-/// Where the pinned BWP solve runs and what it may reuse. Neither field
-/// changes the weights, only the work (see tests/lp2_test.cpp).
+/// What the pinned BWP solve may reuse and where it reports. Neither
+/// field changes the weights, only the work (see tests/lp2_test.cpp).
 struct BwpSolveOptions {
-  /// Fan target for per-component solves; null solves components inline.
-  Executor *Exec = nullptr;
-  /// Cross-call block memo + skeleton basis store; null disables both.
-  /// During a fan-out each component probes the shared cache read-only
-  /// plus a component-local overlay, and overlays merge in component
-  /// order afterwards — hit patterns are scheduling-independent.
+  /// Cross-call block memo; null disables it.
   BwpSubproblemCache *Cache = nullptr;
   BwpSolveStats *Stats = nullptr;
 };

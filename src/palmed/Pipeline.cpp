@@ -148,10 +148,10 @@ struct Pipeline::Impl {
   /// contract.
   BwpSubproblemCache CoreLpCache;
 
-  /// LP2 solve options for the stage-2 call sites: components fan out
-  /// over the pipeline's executor and share CoreLpCache.
+  /// LP2 solve options for the stage-2 call sites: they share
+  /// CoreLpCache.
   BwpSolveOptions lp2Options(BwpSolveStats *Stats = nullptr) {
-    return {&Exec, &CoreLpCache, Stats};
+    return {&CoreLpCache, Stats};
   }
 
   // NumThreads <= 1 (including a raw 0) is serial, matching EvalSession;

@@ -1,13 +1,14 @@
-//===- tests/lp2_test.cpp - Warm-started, decomposed LP2 tests ------------===//
+//===- tests/lp2_test.cpp - Cached LP2 tests ------------------------------===//
 //
 // Part of the PALMED reproduction.
 //
-// The stage-2 fit takes a subproblem cache and an executor
-// (BwpSolveOptions) whose contract is that neither changes the weights —
-// they only trade work. Direct solveCoreWeights calls pin that contract
-// down (where pivot counts can be bracketed exactly); golden runs of the
-// default pipeline on the shipped machine profiles pin the mappings, the
-// LP2 objective and the LP work end to end.
+// The stage-2 fit takes a subproblem cache (BwpSolveOptions) whose
+// contract is that it never changes the weights — it only trades work.
+// Direct solveCoreWeights calls pin that contract down (where pivot counts
+// can be bracketed exactly), golden direct solves pin problems with two
+// coupling components, and golden runs of the default pipeline on the
+// shipped machine profiles pin the mappings, the LP2 objective and the LP
+// work end to end.
 //
 //===----------------------------------------------------------------------===//
 
@@ -15,7 +16,6 @@
 #include "lp/Model.h"
 #include "lp/Simplex.h"
 #include "palmed/palmed.h"
-#include "support/Executor.h"
 
 #include <gtest/gtest.h>
 
@@ -64,6 +64,17 @@ struct TwoComponentFixture {
   }
 };
 
+/// LP work done on this thread since \p Before.
+lp::LpTelemetry workSince(const lp::LpTelemetry &Before) {
+  const lp::LpTelemetry &Now = lp::lpTelemetry();
+  lp::LpTelemetry Delta;
+  Delta.Solves = Now.Solves - Before.Solves;
+  Delta.Pivots = Now.Pivots - Before.Pivots;
+  Delta.WarmStartAttempts = Now.WarmStartAttempts - Before.WarmStartAttempts;
+  Delta.WarmStartHits = Now.WarmStartHits - Before.WarmStartHits;
+  return Delta;
+}
+
 /// Runs solveCoreWeights under \p Opts and returns the weights plus the
 /// exact LP telemetry delta of the call.
 CoreWeights solveWith(const TwoComponentFixture &F,
@@ -73,11 +84,7 @@ CoreWeights solveWith(const TwoComponentFixture &F,
   CoreWeights W = solveCoreWeights(F.Shape, F.IndexOf, F.kernels(),
                                    BwpMode::Pinned, Opts,
                                    /*MaxPinIterations=*/6, SoloIpc);
-  const lp::LpTelemetry &Now = lp::lpTelemetry();
-  Delta.Solves = Now.Solves - Before.Solves;
-  Delta.Pivots = Now.Pivots - Before.Pivots;
-  Delta.WarmStartAttempts = Now.WarmStartAttempts - Before.WarmStartAttempts;
-  Delta.WarmStartHits = Now.WarmStartHits - Before.WarmStartHits;
+  Delta = workSince(Before);
   return W;
 }
 
@@ -172,7 +179,7 @@ TEST(Lp2Digest, EmptyStreamsCollide) {
 // Subproblem cache semantics.
 //===----------------------------------------------------------------------===//
 
-TEST(Lp2SubproblemCache, FirstInsertWinsAndMergeIsOrdered) {
+TEST(Lp2SubproblemCache, FirstInsertWins) {
   lp::StructuralDigest D;
   D.addU64(7);
   const lp::StructuralDigest::Value K = D.value();
@@ -181,11 +188,6 @@ TEST(Lp2SubproblemCache, FirstInsertWinsAndMergeIsOrdered) {
   C.insert(K, {{1.0}});
   C.insert(K, {{2.0}}); // Ignored: entries are immutable once published.
   ASSERT_NE(C.find(K), nullptr);
-  EXPECT_EQ(C.find(K)->Values[0], 1.0);
-
-  BwpSubproblemCache Overlay;
-  Overlay.insert(K, {{3.0}}); // Loses to the existing entry on merge.
-  C.merge(std::move(Overlay));
   EXPECT_EQ(C.find(K)->Values[0], 1.0);
   EXPECT_EQ(C.numEntries(), 1u);
 }
@@ -214,24 +216,96 @@ TEST(Lp2Equivalence, CacheOnOffBitwiseValues) {
   EXPECT_LT(Replay.Pivots, Cold.Pivots);
 }
 
-TEST(Lp2Equivalence, ExecutorFanOutBitwise) {
-  // Two-component solve fanned over a real two-worker executor vs inline:
-  // identical weights, identical telemetry (the fan-out compensates
-  // thread-local telemetry into index-ordered slots).
-  TwoComponentFixture F;
-  lp::LpTelemetry Inline, Fanned;
-  BwpSolveOptions Serial;
-  CoreWeights WSerial = solveWith(F, Serial, Inline);
-  Executor Exec(2);
-  BwpSolveStats Stats;
-  BwpSolveOptions Parallel;
-  Parallel.Exec = &Exec;
-  Parallel.Stats = &Stats;
-  CoreWeights WParallel = solveWith(F, Parallel, Fanned);
-  expectBitwiseEqual(WParallel, WSerial);
-  EXPECT_EQ(Fanned.Pivots, Inline.Pivots);
-  EXPECT_EQ(Fanned.Solves, Inline.Solves);
+//===----------------------------------------------------------------------===//
+// Golden pins of direct solves with two coupling components.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// What one direct solve must reproduce exactly: the weights and the
+/// objective bit for bit, and the LP work that produced them.
+struct DirectGolden {
+  std::vector<std::vector<double>> Rho;
+  double TotalSlack;
+  long Solves;
+  long Pivots;
+};
+
+void expectDirectGolden(const std::vector<std::vector<double>> &Rho,
+                        double TotalSlack, const lp::LpTelemetry &Delta,
+                        const BwpSolveStats &Stats, const DirectGolden &G) {
+  ASSERT_EQ(Rho.size(), G.Rho.size());
+  for (size_t I = 0; I < Rho.size(); ++I) {
+    ASSERT_EQ(Rho[I].size(), G.Rho[I].size());
+    for (size_t R = 0; R < Rho[I].size(); ++R)
+      EXPECT_EQ(Rho[I][R], G.Rho[I][R]) << "row " << I << " res " << R;
+  }
+  EXPECT_EQ(TotalSlack, G.TotalSlack);
+  EXPECT_EQ(Delta.Solves, G.Solves);
+  EXPECT_EQ(Delta.Pivots, G.Pivots);
   EXPECT_EQ(Stats.Components, 2);
+}
+
+} // namespace
+
+TEST(Lp2Golden, TwoComponentCore) {
+  TwoComponentFixture F;
+  BwpSolveStats Stats;
+  BwpSolveOptions Opts;
+  Opts.Stats = &Stats;
+  lp::LpTelemetry Plain, Balanced;
+  CoreWeights W = solveWith(F, Opts, Plain);
+  expectDirectGolden(W.Rho, W.TotalSlack, Plain, Stats,
+                     {{{0x1p-1, 0.0, 0.0, 0.0},
+                       {0x1p-1, 0x1p+0, 0.0, 0.0},
+                       {0.0, 0.0, 0x1p-1, 0.0},
+                       {0.0, 0.0, 0x1p-1, 0x1p+0}},
+                      0.0,
+                      8,
+                      12});
+  // With solo IPCs every solved block also runs the balancing passes.
+  Stats = BwpSolveStats();
+  CoreWeights WB = solveWith(F, Opts, Balanced, {2.0, 1.0, 1.5, 1.0});
+  expectDirectGolden(WB.Rho, WB.TotalSlack, Balanced, Stats,
+                     {{{0x1.fffffffad8961p-2, 0.0, 0.0, 0.0},
+                       {0x1.000000052769fp-1, 0x1p+0, 0.0, 0.0},
+                       {0.0, 0.0, 0x1.fffffffad8961p-2, 0.0},
+                       {0.0, 0.0, 0x1.000000052769fp-1, 0x1p+0}},
+                      0x1.12e0bep-29,
+                      24,
+                      73});
+}
+
+TEST(Lp2Golden, TwoComponentAux) {
+  // Every kernel holding the new instruction loads all resources, so an
+  // LPAUX problem splits into several components only when none of its
+  // kernels holds it: here, kernels of the frozen pairs alone, whose
+  // loads stay on {R0, R1} and {R2, R3}.
+  TwoComponentFixture F;
+  const std::vector<std::vector<double>> Frozen = {
+      {0.5, 0.0, 0.0, 0.0},
+      {0.5, 1.0, 0.0, 0.0},
+      {0.0, 0.0, 0.5, 0.0},
+      {0.0, 0.0, 0.5, 1.0}};
+  const InstrId NewInstr = 50;
+  std::vector<WeightKernel> Kernels;
+  for (InstrId Base : {InstrId(10), InstrId(30)}) {
+    InstrId A = Base, B = Base + 10;
+    Kernels.push_back({TwoComponentFixture::kernel(A, 2, B, 0), 1.6, -1});
+    Kernels.push_back({TwoComponentFixture::kernel(A, 0, B, 1), 0.9, 1});
+    Kernels.push_back({TwoComponentFixture::kernel(A, 2, B, 1), 1.5, -1});
+  }
+  BwpSolveStats Stats;
+  BwpSolveOptions Opts;
+  Opts.Stats = &Stats;
+  const lp::LpTelemetry Before = lp::lpTelemetry();
+  AuxWeights Aux = solveAuxWeights(F.Shape, F.IndexOf, Frozen, NewInstr,
+                                   Kernels, BwpMode::Pinned,
+                                   /*MaxPinIterations=*/4, Opts);
+  const lp::LpTelemetry Delta = workSince(Before);
+  EXPECT_TRUE(Aux.Feasible);
+  expectDirectGolden({Aux.Rho}, Aux.TotalSlack, Delta, Stats,
+                     {{{0.0, 0.0, 0.0, 0.0}}, 0x1.199999999999ap+0, 0, 0});
 }
 
 //===----------------------------------------------------------------------===//
