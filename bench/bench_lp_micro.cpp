@@ -149,11 +149,10 @@ void BM_DualConstructionSkl(benchmark::State &State) {
 }
 BENCHMARK(BM_DualConstructionSkl);
 
-/// The port-contention kernel PMEvo's fitness scores every candidate
-/// mapping with, one call per iteration over a fixed set of bags shaped
-/// like its training samples: 1-6 µOP demands over an 8-port machine,
-/// mostly 1-3 ports wide, with duplicate masks.
-void BM_OptimalPortCycles(benchmark::State &State) {
+/// A fixed set of 1 024 bags shaped like PMEvo's training samples: 1-6 µOP
+/// demands over an 8-port machine, mostly 1-3 ports wide, with duplicate
+/// masks.
+std::vector<std::vector<std::pair<PortMask, double>>> portCycleBags() {
   Rng R(6);
   std::vector<std::vector<std::pair<PortMask, double>>> Bags(1024);
   for (auto &Bag : Bags)
@@ -163,11 +162,32 @@ void BM_OptimalPortCycles(benchmark::State &State) {
         Mask.set(R.uniformInt(8));
       Bag.push_back({Mask, R.uniformRealIn(0.25, 4.0)});
     }
+  return Bags;
+}
+
+/// The port-contention kernel on PortMasks, one call per iteration.
+void BM_OptimalPortCycles(benchmark::State &State) {
+  auto Bags = portCycleBags();
   size_t I = 0;
   for (auto _ : State)
     benchmark::DoNotOptimize(optimalPortCycles(Bags[I++ % Bags.size()]));
 }
 BENCHMARK(BM_OptimalPortCycles);
+
+/// The same bags as words, the instantiation PMEvo's fitness scores every
+/// candidate mapping with.
+void BM_OptimalPortCyclesWords(benchmark::State &State) {
+  std::vector<std::vector<std::pair<uint64_t, double>>> Bags;
+  for (const auto &Bag : portCycleBags()) {
+    Bags.emplace_back();
+    for (const auto &[Mask, Demand] : Bag)
+      Bags.back().push_back({Mask.toUint64(), Demand});
+  }
+  size_t I = 0;
+  for (auto _ : State)
+    benchmark::DoNotOptimize(optimalPortCycles(Bags[I++ % Bags.size()]));
+}
+BENCHMARK(BM_OptimalPortCyclesWords);
 
 /// Console output as usual, plus one BenchReport metric per benchmark so
 /// bench_all can fold the timings into BENCH_seed.json.

@@ -8,18 +8,22 @@
 
 #include "core/DualConstruction.h"
 #include "core/Selection.h"
+#include "support/Compat.h"
 #include "support/Rng.h"
 
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 using namespace palmed;
 
 namespace {
 
-/// One candidate mapping: per trained instruction, its µOP port sets.
-using Genome = std::vector<std::vector<PortMask>>;
+/// One candidate mapping: per trained instruction, its µOPs' port sets as
+/// words whose bit p is port p (NumPorts <= 64). They become PortMasks only
+/// when the trained predictor's Inferred map is filled.
+using Genome = std::vector<std::vector<uint64_t>>;
 
 /// A training sample: a kernel over trained instructions with its measured
 /// execution time per iteration.
@@ -29,35 +33,77 @@ struct Sample {
   double MeasuredCycles = 0.0;
 };
 
-double predictedCycles(const Genome &G, const Sample &S) {
+/// A population member: its genome, the squared relative cycle error it
+/// scores on each sample, and their sum (its fitness).
+struct Member {
+  Genome Genes;
+  std::vector<double> Errors;
+  double Fitness = 0.0;
+};
+
+/// Squared relative error of \p G's optimal-schedule cycles on \p S. It
+/// reads only the genes of the sample's instructions.
+double sampleError(const Genome &G, const Sample &S) {
   // Per-thread scratch: fitness scoring calls this millions of times.
-  thread_local std::vector<std::pair<PortMask, double>> Demands;
+  thread_local std::vector<std::pair<uint64_t, double>> Demands;
   Demands.clear();
   for (const auto &[Index, Mult] : S.Terms)
-    for (PortMask Mask : G[Index])
+    for (uint64_t Mask : G[Index])
       Demands.push_back({Mask, Mult});
-  return optimalPortCycles(Demands);
+  double Pred = optimalPortCycles(Demands);
+  double Rel = (Pred - S.MeasuredCycles) / S.MeasuredCycles;
+  return Rel * Rel;
 }
 
-double fitness(const Genome &G, const std::vector<Sample> &Samples) {
+/// The fitness of \p M: its error terms summed in sample order from 0.0.
+void sumErrors(Member &M) {
   double Err = 0.0;
-  for (const Sample &S : Samples) {
-    double Pred = predictedCycles(G, S);
-    double Rel = (Pred - S.MeasuredCycles) / S.MeasuredCycles;
-    Err += Rel * Rel;
-  }
-  return Err;
+  for (double E : M.Errors)
+    Err += E;
+  M.Fitness = Err;
 }
 
-PortMask randomMask(Rng &R, unsigned NumPorts, unsigned PreferredCount) {
+void score(Member &M, const std::vector<Sample> &Samples) {
+  M.Errors.resize(Samples.size());
+  for (size_t S = 0; S < Samples.size(); ++S)
+    M.Errors[S] = sampleError(M.Genes, Samples[S]);
+  sumErrors(M);
+}
+
+/// Scores \p Child, bred from parents \p A and \p B. A sample's error is a
+/// function of its instructions' genes only, so a sample whose genes all
+/// equal one parent's copies that parent's term; the others are computed.
+/// Genes are compared after mutation, so a mutation that changed nothing
+/// still inherits. \p Origin is scratch.
+void scoreChild(Member &Child, const Member &A, const Member &B,
+                const std::vector<Sample> &Samples,
+                std::vector<unsigned char> &Origin) {
+  constexpr unsigned char FromA = 1, FromB = 2;
+  Origin.resize(Child.Genes.size());
+  for (size_t I = 0; I < Child.Genes.size(); ++I)
+    Origin[I] = (Child.Genes[I] == A.Genes[I] ? FromA : 0) |
+                (Child.Genes[I] == B.Genes[I] ? FromB : 0);
+  Child.Errors.resize(Samples.size());
+  for (size_t S = 0; S < Samples.size(); ++S) {
+    unsigned char Shared = FromA | FromB;
+    for (const auto &[Index, Mult] : Samples[S].Terms)
+      Shared &= Origin[Index];
+    Child.Errors[S] = Shared & FromA   ? A.Errors[S]
+                      : Shared & FromB ? B.Errors[S]
+                                       : sampleError(Child.Genes, Samples[S]);
+  }
+  sumErrors(Child);
+}
+
+uint64_t randomMask(Rng &R, unsigned NumPorts, unsigned PreferredCount) {
   unsigned Count = PreferredCount;
   if (Count == 0 || R.chance(0.3))
     Count = 1 + static_cast<unsigned>(R.uniformInt(4)) %
                     std::max(1u, NumPorts);
   Count = std::min(std::max(Count, 1u), NumPorts);
-  PortMask Mask;
-  while (portCount(Mask) < Count)
-    Mask.set(R.uniformInt(NumPorts));
+  uint64_t Mask = 0;
+  while (popCount(Mask) < Count)
+    Mask |= uint64_t{1} << R.uniformInt(NumPorts);
   return Mask;
 }
 
@@ -93,10 +139,9 @@ void mutate(Rng &R, Genome &G, const PMEvoConfig &Config) {
     double Action = R.uniformReal();
     if (Action < 0.6) {
       // Toggle one port bit of one µOP, keeping the set non-empty.
-      auto &Mask = MicroOps[R.uniformInt(MicroOps.size())];
-      PortMask Next = Mask;
-      Next.flip(R.uniformInt(Config.NumPorts));
-      if (Next.any())
+      uint64_t &Mask = MicroOps[R.uniformInt(MicroOps.size())];
+      uint64_t Next = Mask ^ uint64_t{1} << R.uniformInt(Config.NumPorts);
+      if (Next != 0)
         Mask = Next;
     } else if (Action < 0.8 &&
                static_cast<int>(MicroOps.size()) < Config.MaxMicroOps) {
@@ -108,11 +153,11 @@ void mutate(Rng &R, Genome &G, const PMEvoConfig &Config) {
   }
 }
 
-Genome crossover(Rng &R, const Genome &A, const Genome &B) {
-  Genome Child(A.size());
+/// Fills \p Child (same shape as the parents) gene by gene from \p A or
+/// \p B; assigning into a reused genome keeps its buffers.
+void crossover(Rng &R, const Genome &A, const Genome &B, Genome &Child) {
   for (size_t I = 0; I < A.size(); ++I)
     Child[I] = R.chance(0.5) ? A[I] : B[I];
-  return Child;
 }
 
 } // namespace
@@ -121,6 +166,11 @@ std::unique_ptr<PMEvoPredictor>
 PMEvoPredictor::train(BenchmarkRunner &Runner,
                       const std::vector<InstrId> &Pool,
                       const PMEvoConfig &Config) {
+  if (Config.NumPorts == 0 || Config.NumPorts > 64)
+    throw std::invalid_argument(
+        "PMEvoConfig::NumPorts must be in [1, 64] (genomes are 64-bit words)");
+  if (Config.PopulationSize < 1)
+    throw std::invalid_argument("PMEvoConfig::PopulationSize must be >= 1");
   Rng R(Config.Seed);
 
   // Trainable subset: benchmarkable instructions, capped (see header).
@@ -174,59 +224,70 @@ PMEvoPredictor::train(BenchmarkRunner &Runner,
     }
   }
 
-  // Evolutionary search.
-  std::vector<Genome> Population;
-  std::vector<double> Fitness;
-  for (int P = 0; P < Config.PopulationSize; ++P) {
-    Population.push_back(randomGenome(R, SoloIpc, Config));
-    Fitness.push_back(fitness(Population.back(), Samples));
+  // Evolutionary search. The two generation buffers are allocated once
+  // and swapped; members keep their genome and error buffers across
+  // generations.
+  const auto PopulationSize = static_cast<size_t>(Config.PopulationSize);
+  std::vector<Member> Population(PopulationSize), Next(PopulationSize);
+  for (Member &M : Population) {
+    M.Genes = randomGenome(R, SoloIpc, Config);
+    score(M, Samples);
   }
+  for (Member &M : Next)
+    M.Genes.resize(Trained.size());
 
-  auto Tournament = [&]() -> const Genome & {
+  auto Tournament = [&]() {
     size_t Best = R.uniformInt(Population.size());
     for (int T = 1; T < Config.TournamentSize; ++T) {
       size_t C = R.uniformInt(Population.size());
-      if (Fitness[C] < Fitness[Best])
+      if (Population[C].Fitness < Population[Best].Fitness)
         Best = C;
     }
-    return Population[Best];
+    return Best;
   };
 
+  std::vector<size_t> Order(Population.size());
+  std::vector<unsigned char> Origin;
   for (int Gen = 0; Gen < Config.Generations; ++Gen) {
     // Elitism: keep the two fittest genomes.
-    std::vector<size_t> Order(Population.size());
     for (size_t I = 0; I < Order.size(); ++I)
       Order[I] = I;
-    std::sort(Order.begin(), Order.end(),
-              [&](size_t A, size_t B) { return Fitness[A] < Fitness[B]; });
+    std::sort(Order.begin(), Order.end(), [&](size_t A, size_t B) {
+      return Population[A].Fitness < Population[B].Fitness;
+    });
 
-    // The elites carry their fitness forward: scoring is deterministic, so
-    // re-scoring them would only repeat the same value.
-    std::vector<Genome> Next;
-    std::vector<double> NextFitness;
-    for (size_t E = 0; E < std::min<size_t>(2, Order.size()); ++E) {
-      Next.push_back(Population[Order[E]]);
-      NextFitness.push_back(Fitness[Order[E]]);
+    // The elites carry their errors forward: scoring is deterministic, so
+    // re-scoring them would only repeat the same values.
+    size_t Filled = 0;
+    for (; Filled < std::min<size_t>(2, Order.size()); ++Filled)
+      Next[Filled] = Population[Order[Filled]];
+    for (; Filled < Next.size(); ++Filled) {
+      // B is drawn before A, spelled out so every compiler trains the same
+      // GA: the golden trajectories were recorded with gcc evaluating
+      // crossover(R, Tournament(), Tournament())'s arguments right to left.
+      size_t IB = Tournament();
+      size_t IA = Tournament();
+      const Member &A = Population[IA], &B = Population[IB];
+      Member &Child = Next[Filled];
+      crossover(R, A.Genes, B.Genes, Child.Genes);
+      mutate(R, Child.Genes, Config);
+      scoreChild(Child, A, B, Samples, Origin);
     }
-    while (static_cast<int>(Next.size()) < Config.PopulationSize) {
-      Genome Child = crossover(R, Tournament(), Tournament());
-      mutate(R, Child, Config);
-      NextFitness.push_back(fitness(Child, Samples));
-      Next.push_back(std::move(Child));
-    }
-    Population = std::move(Next);
-    Fitness = std::move(NextFitness);
+    std::swap(Population, Next);
   }
 
   size_t Best = 0;
   for (size_t P = 1; P < Population.size(); ++P)
-    if (Fitness[P] < Fitness[Best])
+    if (Population[P].Fitness < Population[Best].Fitness)
       Best = P;
 
   auto Result = std::unique_ptr<PMEvoPredictor>(new PMEvoPredictor());
-  for (size_t I = 0; I < Trained.size(); ++I)
-    Result->Inferred[Trained[I]] = Population[Best][I];
-  Result->TrainingError = Fitness[Best];
+  for (size_t I = 0; I < Trained.size(); ++I) {
+    std::vector<PortMask> &MicroOps = Result->Inferred[Trained[I]];
+    for (uint64_t Mask : Population[Best].Genes[I])
+      MicroOps.push_back(PortMask::fromWord(Mask));
+  }
+  Result->TrainingError = Population[Best].Fitness;
   return Result;
 }
 

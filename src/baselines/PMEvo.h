@@ -36,7 +36,8 @@ namespace palmed {
 
 /// Evolutionary-search configuration.
 struct PMEvoConfig {
-  /// Number of ports the candidate mappings may use.
+  /// Number of ports the candidate mappings may use, 1 to 64 (genomes
+  /// hold each µOP's port set in one 64-bit word).
   unsigned NumPorts = 8;
   /// Maximum µOPs per instruction in a genome.
   int MaxMicroOps = 8;
@@ -58,7 +59,9 @@ struct PMEvoConfig {
 class PMEvoPredictor : public Predictor {
 public:
   /// Trains on solo and pairwise benchmarks over \p Pool drawn through
-  /// \p Runner. Deterministic given the config seed.
+  /// \p Runner. Deterministic given the config seed. Throws
+  /// std::invalid_argument if NumPorts is not in [1, 64] or PopulationSize
+  /// is below 1.
   static std::unique_ptr<PMEvoPredictor>
   train(BenchmarkRunner &Runner, const std::vector<InstrId> &Pool,
         const PMEvoConfig &Config = PMEvoConfig());

@@ -6,6 +6,8 @@
 
 #include "core/DualConstruction.h"
 
+#include "support/Compat.h"
+
 #include <algorithm>
 #include <cassert>
 #include <limits>
@@ -15,19 +17,35 @@ using namespace palmed;
 
 namespace {
 
+// The set operations the kernel needs, for both mask types it is
+// instantiated for: a PortMask, and a plain word whose bit p is port p.
+// Both types order by integer value, so sorting either yields the same
+// sequence of ports.
+bool masksIntersect(const PortMask &A, const PortMask &B) {
+  return A.intersects(B);
+}
+bool masksIntersect(uint64_t A, uint64_t B) { return (A & B) != 0; }
+bool isSubmask(const PortMask &A, const PortMask &B) {
+  return A.isSubsetOf(B);
+}
+bool isSubmask(uint64_t A, uint64_t B) { return (A & ~B) == 0; }
+unsigned maskPorts(const PortMask &Mask) { return portCount(Mask); }
+unsigned maskPorts(uint64_t Mask) { return popCount(Mask); }
+
 /// Closes \p Members, a list of distinct masks, under union of
 /// intersecting pairs, appending each new union at the end. Worklist form:
 /// every member is paired once with every member before it, so each pair
 /// is tried exactly once and the result is the unique least fixpoint, in
 /// discovery order. \p MaxSize is the debug-build cap on the result.
-void closeUnderUnion(std::vector<PortMask> &Members,
+template <typename MaskT>
+void closeUnderUnion(std::vector<MaskT> &Members,
                      size_t MaxSize = std::numeric_limits<size_t>::max()) {
   (void)MaxSize; // Only consumed by the assert below.
   for (size_t I = 0; I < Members.size(); ++I)
     for (size_t J = 0; J < I; ++J) {
-      if (!Members[I].intersects(Members[J]))
+      if (!masksIntersect(Members[I], Members[J]))
         continue;
-      PortMask U = Members[I] | Members[J];
+      MaskT U = Members[I] | Members[J];
       if (std::find(Members.begin(), Members.end(), U) != Members.end())
         continue;
       Members.push_back(std::move(U));
@@ -51,19 +69,23 @@ palmed::computeResourceClosure(const MachineModel &Machine,
   return Closure;
 }
 
-double palmed::optimalPortCycles(
-    const std::vector<std::pair<PortMask, double>> &Demands) {
-  // Per-thread scratch: after warm-up, calls on single-word masks allocate
-  // nothing.
-  thread_local std::vector<std::pair<PortMask, double>> ByMask;
-  thread_local std::vector<PortMask> Closure;
+namespace {
+
+/// The one body behind both optimalPortCycles overloads (see the header
+/// for the bit-equality contract).
+template <typename MaskT>
+double portCyclesOf(const std::vector<std::pair<MaskT, double>> &Demands) {
+  // Per-thread scratch, one pair per instantiation: after warm-up, calls
+  // on words or single-word PortMasks allocate nothing.
+  thread_local std::vector<std::pair<MaskT, double>> ByMask;
+  thread_local std::vector<MaskT> Closure;
 
   // Merge duplicate masks, summing each one's demands in input order from
   // 0.0, then order by mask: the per-mask sums and their order are those
   // of a std::map<PortMask, double> filled with operator[] +=.
   ByMask.clear();
   for (const auto &[Mask, Demand] : Demands) {
-    assert(Mask.any() && "µOP with empty port set");
+    assert(maskPorts(Mask) != 0 && "µOP with empty port set");
     assert(Demand >= 0.0 && "negative demand");
     auto It = std::find_if(ByMask.begin(), ByMask.end(),
                            [&](const auto &E) { return E.first == Mask; });
@@ -82,14 +104,26 @@ double palmed::optimalPortCycles(
   // The max does not depend on the closure's order, and each Inside sum
   // runs over the masks in sorted order.
   double Best = 0.0;
-  for (const PortMask &J : Closure) {
+  for (const MaskT &J : Closure) {
     double Inside = 0.0;
     for (const auto &[Mask, Demand] : ByMask)
-      if (Mask.isSubsetOf(J))
+      if (isSubmask(Mask, J))
         Inside += Demand;
-    Best = std::max(Best, Inside / portCount(J));
+    Best = std::max(Best, Inside / maskPorts(J));
   }
   return Best;
+}
+
+} // namespace
+
+double palmed::optimalPortCycles(
+    const std::vector<std::pair<PortMask, double>> &Demands) {
+  return portCyclesOf(Demands);
+}
+
+double palmed::optimalPortCycles(
+    const std::vector<std::pair<uint64_t, double>> &Demands) {
+  return portCyclesOf(Demands);
 }
 
 ResourceMapping palmed::buildDualMapping(const MachineModel &Machine,

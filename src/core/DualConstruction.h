@@ -58,14 +58,24 @@ std::vector<PortMask> computeResourceClosure(const MachineModel &Machine,
 /// Used by the PMEvo baseline to evaluate candidate disjunctive mappings
 /// without solving an LP per fitness evaluation.
 ///
-/// Bit-equality contract: the result is bit-identical to merging the bag
-/// into a std::map<PortMask, double> (demands summed in input order) and
-/// summing each closure member's demand over that map in key order, which
-/// PMEvo's golden training test pins. The merged bag and the closure live
-/// in thread_local scratch, so calls allocate nothing once warm (single-word
-/// masks) and concurrent calls from different threads are safe.
+/// Two overloads share one templated body: one takes PortMasks, the other
+/// plain words whose bit p is port p (machines of at most 64 ports; PMEvo's
+/// genomes are words). Both keep the same order of operations: merge
+/// duplicate masks in input order from 0.0, sort by mask value, close
+/// under intersecting unions, and sum each closure member's demand in
+/// sorted order.
+///
+/// Bit-equality contract: either result is bit-identical to merging the
+/// bag into a std::map<PortMask, double> (demands summed in input order)
+/// and summing each closure member's demand over that map in key order,
+/// which PMEvo's golden training tests pin. The merged bag and the closure
+/// live in thread_local scratch, so calls allocate nothing once warm (words
+/// or single-word masks) and concurrent calls from different threads are
+/// safe.
 double optimalPortCycles(
     const std::vector<std::pair<PortMask, double>> &Demands);
+double optimalPortCycles(
+    const std::vector<std::pair<uint64_t, double>> &Demands);
 
 } // namespace palmed
 

@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <stdexcept>
 
 using namespace palmed;
 
@@ -238,6 +239,42 @@ TEST(PMEvo, GoldenTrainingOnSkl) {
   EXPECT_EQ(P->trainingError(), 0x1.428610bd2dc65p+5);
   EXPECT_EQ(P->supportedInstructions().size(), 40u);
   EXPECT_EQ(inferredDigest(*P), 0x14aa49ba02bf5c7dull);
+}
+
+TEST(PMEvo, GoldenTrainingOnSklCampaignConfig) {
+  // The Fig. 4 campaign's own configuration: default PMEvoConfig on the
+  // whole skl pool. Children inherit the error terms of samples whose
+  // genes match a parent's, so this pins that the shortcut never changes
+  // a fitness bit at full population and generation count.
+  MachineModel M = makeSklLike();
+  AnalyticOracle O(M);
+  BenchmarkRunner Runner(M, O);
+  auto P = PMEvoPredictor::train(Runner, M.isa().allIds(), PMEvoConfig());
+  EXPECT_EQ(P->trainingError(), 0x1.241a3d2b5a7ebp+7);
+  EXPECT_EQ(P->supportedInstructions().size(), 178u);
+  EXPECT_EQ(inferredDigest(*P), 0x31dcca329a3932ebull);
+}
+
+TEST(PMEvo, RejectsInvalidConfig) {
+  // Genomes hold each µOP's ports in one 64-bit word, and mutation draws a
+  // port uniformly, so there must be 1 to 64 ports and a population.
+  MachineModel M = makeFig1Machine();
+  AnalyticOracle O(M);
+  BenchmarkRunner Runner(M, O);
+  auto Train = [&](auto Edit) {
+    PMEvoConfig Cfg = quickPmevoConfig();
+    Cfg.Generations = 1;
+    Edit(Cfg);
+    return PMEvoPredictor::train(Runner, M.isa().allIds(), Cfg);
+  };
+  EXPECT_THROW(Train([](PMEvoConfig &C) { C.NumPorts = 0; }),
+               std::invalid_argument);
+  EXPECT_THROW(Train([](PMEvoConfig &C) { C.NumPorts = 65; }),
+               std::invalid_argument);
+  EXPECT_THROW(Train([](PMEvoConfig &C) { C.PopulationSize = 0; }),
+               std::invalid_argument);
+  EXPECT_NO_THROW(Train([](PMEvoConfig &C) { C.NumPorts = 64; }));
+  EXPECT_NO_THROW(Train([](PMEvoConfig &C) { C.PopulationSize = 1; }));
 }
 
 TEST(PMEvo, EvalSessionSerialAndParallelAreBitIdentical) {

@@ -265,7 +265,7 @@ PortMask randomMask(Rng &R, size_t NumPorts) {
 
 TEST(OptimalPortCycles, BitEqualToMapReferenceOnRandomBags) {
   Rng R(2024);
-  size_t Multiword = 0, WithDuplicates = 0, Empty = 0;
+  size_t Multiword = 0, WithDuplicates = 0, Empty = 0, WordBags = 0;
   for (int Bag = 0; Bag < 2500; ++Bag) {
     // Every fourth bag spans more than 64 ports, so BitSet's multi-word
     // path is exercised; a small per-bag pool makes duplicate masks common.
@@ -284,9 +284,11 @@ TEST(OptimalPortCycles, BitEqualToMapReferenceOnRandomBags) {
     }
 
     std::set<PortMask> Distinct;
+    bool SingleWord = true;
     for (const auto &[Mask, Demand] : Demands) {
       Distinct.insert(Mask);
       Multiword += Mask.findLast() >= 64;
+      SingleWord &= Mask.findLast() < 64;
     }
     WithDuplicates += Distinct.size() < Demands.size();
     Empty += Demands.empty();
@@ -295,9 +297,21 @@ TEST(OptimalPortCycles, BitEqualToMapReferenceOnRandomBags) {
     double Want = referenceOptimalPortCycles(Demands);
     ASSERT_EQ(bitsOf(Got), bitsOf(Want))
         << "bag " << Bag << ": " << Got << " vs " << Want;
+
+    // The word instantiation is held to the same reference.
+    if (!SingleWord)
+      continue;
+    ++WordBags;
+    std::vector<std::pair<uint64_t, double>> Words;
+    for (const auto &[Mask, Demand] : Demands)
+      Words.push_back({Mask.toUint64(), Demand});
+    double GotWords = optimalPortCycles(Words);
+    ASSERT_EQ(bitsOf(GotWords), bitsOf(Want))
+        << "word bag " << Bag << ": " << GotWords << " vs " << Want;
   }
   // The generator really reaches the cases the contract is about.
   EXPECT_GT(Multiword, 100u);
+  EXPECT_GT(WordBags, 1500u);
   EXPECT_GT(WithDuplicates, 500u);
   EXPECT_GT(Empty, 0u);
 }
