@@ -11,6 +11,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchReport.h"
+#include "TallLp.h"
 #include "core/DualConstruction.h"
 #include "lp/Milp.h"
 #include "lp/Simplex.h"
@@ -58,6 +59,21 @@ void BM_SimplexMedium(benchmark::State &State) {
     benchmark::DoNotOptimize(lp::solveLp(M));
 }
 BENCHMARK(BM_SimplexMedium);
+
+/// The compat (Dantzig) simplex on a tall BWP-shaped LP, 4 000 capacity
+/// rows over 40 weights: the kind of solve that dominates stage 2 on the
+/// huge profile, in miniature.
+void BM_CompatTallLp(benchmark::State &State) {
+  lp::Model M = bench::makeTallBwpLp(1, 40, 4000, 0.3);
+  lp::SimplexOptions Options;
+  Options.Pricing = lp::LpPricing::Dantzig;
+  lp::LpRunStats Stats;
+  for (auto _ : State)
+    benchmark::DoNotOptimize(lp::solveLp(M, {}, Options, nullptr, nullptr,
+                                         &Stats));
+  State.counters["pivots"] = static_cast<double>(Stats.Pivots);
+}
+BENCHMARK(BM_CompatTallLp)->Unit(benchmark::kMillisecond);
 
 lp::Model makeKnapsack(int Items, int Rows, double Capacity) {
   Rng R(3);

@@ -221,28 +221,39 @@ enum class PhaseResult { Optimal, Unbounded, IterLimit, Infeasible };
 /// Column-compressed compat tableau. Palmed's compat-mode LPs are extreme
 /// in one dimension: the core BWP subproblems have thousands of capacity
 /// rows but only a few dozen structural variables, so a dense
-/// NumRows x NumCols tableau is ~99% slack/artificial columns that never
-/// leave their initial single-diagonal state (an unpromoted column is
-/// touched by an elimination only when its own row is the pivot row). This
-/// tableau stores structural columns densely (column-major, one slot per
-/// column) and keeps each slack/artificial column *implicit* — just its
-/// diagonal coefficient — until its row first pivots, at which point the
-/// column is promoted to a real slot. All bookkeeping (Cost, Status, Basis,
-/// physical column numbering) matches the dense compat tableau exactly, so
-/// pivot selection and pivot arithmetic are value-for-value identical; only
-/// the storage of never-touched zeros changed.
+/// NumRows x NumCols tableau is ~99% slack/artificial columns, and at any
+/// time nearly all of them are exact unit columns: either never touched
+/// since the build (one coefficient, in the owning row, until that row
+/// first pivots) or basic (exactly 1.0 at the basic row, zero elsewhere,
+/// and untouched by every pivot until the column leaves). Only nonbasic
+/// columns that pivots have touched, at most NumCols - NumRows of them,
+/// are not. This tableau stores structural columns densely (column-major,
+/// one slot per column) and keeps every slack/artificial column in one of
+/// the two unit states *implicit*: just its row and value. A column gets a
+/// slot (is promoted) when a pivot is about to fill it, and a
+/// slack/artificial column that enters the basis returns its slot to a
+/// free list, so the pool holds the structural columns plus the touched
+/// nonbasic ones. All bookkeeping (Cost, Status, Basis, physical column
+/// numbering) matches the dense compat tableau exactly, so pivot selection
+/// and pivot arithmetic are value-for-value identical; only the storage of
+/// exact zeros changed (and with it, at most, the sign of a zero, which
+/// nothing ever reads as a factor, ratio or value).
 class CompatTableau {
 public:
+  static constexpr uint32_t FreeSlot = static_cast<uint32_t>(-1);
+
   size_t NumRows = 0;
   size_t NumVars = 0;
   size_t ArtStart = 0;
   size_t NumCols = 0;
-  size_t NumSlots = 0;
+  size_t NumSlots = 0; ///< Slots ever allocated; FreeSlots are reusable.
 
   std::vector<double> Cols; ///< Slot-major: slot * NumRows + row.
   std::vector<int> SlotOfPhys;       ///< Physical col -> slot, -1 implicit.
-  std::vector<uint32_t> PhysOfSlot;
-  std::vector<double> DiagOfPhys; ///< Implicit slack/art diagonal value.
+  std::vector<uint32_t> PhysOfSlot;  ///< FreeSlot for a slot on the list.
+  std::vector<uint32_t> FreeSlots;
+  std::vector<int> ImplRow;     ///< Implicit col: row of its one nonzero.
+  std::vector<double> ImplVal;  ///< Implicit col: value at ImplRow.
   std::vector<double> Rhs;
   std::vector<double> Cost;
   double CostRhs = 0.0;
@@ -251,7 +262,7 @@ public:
 
   std::vector<int> SlackPhysOfRow;
   std::vector<int> ArtPhysOfRow;
-  std::vector<int> RowOfPhys;
+  std::vector<int> RowOfPhys; ///< For cols >= NumVars: owning row.
 
   double *col(size_t S) { return &Cols[S * NumRows]; }
   const double *col(size_t S) const { return &Cols[S * NumRows]; }
@@ -259,19 +270,36 @@ public:
     int S = SlotOfPhys[C];
     if (S >= 0)
       return Cols[static_cast<size_t>(S) * NumRows + R];
-    return RowOfPhys[C] == static_cast<int>(R) ? DiagOfPhys[C] : 0.0;
+    return ImplRow[C] == static_cast<int>(R) ? ImplVal[C] : 0.0;
   }
-  /// Materializes an implicit column into a dense slot. Until its owning
-  /// row pivots, an implicit column's only nonzero is its untouched initial
-  /// diagonal, so the promoted slot reproduces the exact dense contents.
+  /// Materializes an implicit column into a slot (a recycled one when the
+  /// free list has any). The column's only nonzero is ImplVal at ImplRow,
+  /// so the slot reproduces its exact dense contents.
   size_t promote(size_t C) {
-    size_t S = NumSlots++;
-    Cols.resize(NumSlots * NumRows, 0.0);
-    if (RowOfPhys[C] >= 0)
-      Cols[S * NumRows + static_cast<size_t>(RowOfPhys[C])] = DiagOfPhys[C];
+    size_t S;
+    if (!FreeSlots.empty()) {
+      S = FreeSlots.back();
+      FreeSlots.pop_back();
+      std::fill_n(col(S), NumRows, 0.0);
+    } else {
+      S = NumSlots++;
+      Cols.resize(NumSlots * NumRows, 0.0);
+      PhysOfSlot.push_back(FreeSlot);
+    }
+    Cols[S * NumRows + static_cast<size_t>(ImplRow[C])] = ImplVal[C];
     SlotOfPhys[C] = static_cast<int>(S);
-    PhysOfSlot.push_back(static_cast<uint32_t>(C));
+    PhysOfSlot[S] = static_cast<uint32_t>(C);
     return S;
+  }
+  /// Returns the slot of slack/artificial column \p C, which has just
+  /// become basic in row \p R (an exact unit column), to the free list.
+  void release(size_t C, size_t R) {
+    size_t S = static_cast<size_t>(SlotOfPhys[C]);
+    PhysOfSlot[S] = FreeSlot;
+    FreeSlots.push_back(static_cast<uint32_t>(S));
+    SlotOfPhys[C] = -1;
+    ImplRow[C] = static_cast<int>(R);
+    ImplVal[C] = 1.0;
   }
 
   int logicalOf(int Phys) const {
@@ -364,7 +392,9 @@ void buildCompat(CompatTableau &T, const Model &M,
     T.SlotOfPhys[V] = static_cast<int>(V);
     T.PhysOfSlot[V] = static_cast<uint32_t>(V);
   }
-  T.DiagOfPhys.assign(T.NumCols, 0.0);
+  T.FreeSlots.clear();
+  T.ImplRow.assign(T.NumCols, -1);
+  T.ImplVal.assign(T.NumCols, 0.0);
   T.Rhs.assign(NumRows, 0.0);
   T.Status.assign(T.NumCols, ColStatus::AtLower);
   T.Basis.assign(NumRows, -1);
@@ -382,13 +412,13 @@ void buildCompat(CompatTableau &T, const Model &M,
     T.Rhs[R] = EffRhs[R];
     if (T.SlackPhysOfRow[R] >= 0) {
       size_t S = static_cast<size_t>(T.SlackPhysOfRow[R]);
-      T.DiagOfPhys[S] = SlackCoeff[R];
-      T.RowOfPhys[S] = static_cast<int>(R);
+      T.ImplVal[S] = SlackCoeff[R];
+      T.ImplRow[S] = T.RowOfPhys[S] = static_cast<int>(R);
     }
     if (T.ArtPhysOfRow[R] >= 0) {
       size_t A = static_cast<size_t>(T.ArtPhysOfRow[R]);
-      T.DiagOfPhys[A] = 1.0;
-      T.RowOfPhys[A] = static_cast<int>(R);
+      T.ImplVal[A] = 1.0;
+      T.ImplRow[A] = T.RowOfPhys[A] = static_cast<int>(R);
       T.Basis[R] = static_cast<int>(A);
       T.Status[A] = ColStatus::Basic;
     } else {
@@ -404,36 +434,56 @@ void buildCompat(CompatTableau &T, const Model &M,
 /// the reciprocal, other rows subtract Factor times the scaled row. Only
 /// columns below \p SweepEnd are touched; phase 2 passes ArtStart, which
 /// skips the dead artificial columns without changing any value ever read.
-/// Loop order is columns-outer over the pivot row's nonzeros (each affected
-/// entry still receives the single identical `a -= f * p` update), and
-/// zero-factor rows are skipped exactly like the dense sweep.
+///
+/// The implicit columns with a nonzero in the pivot row are the entering
+/// column, the leaving (basic) column, and the row's own untouched
+/// slack/artificial; they are promoted first so the sweep sees real
+/// storage. Every other basic column is zero in the pivot row, so the row
+/// scan skips those slots unread. Loop order is columns-outer over the
+/// pivot row's nonzeros, and each affected entry still receives the single
+/// identical `a -= f * p` update. When at least DenseSweepPct percent of
+/// the rows have a nonzero factor, each column is swept contiguously
+/// against a dense factor vector instead of scattered over the nonzero
+/// rows; a zero-factor row then receives `a -= 0 * p`, which for finite p
+/// can change only the sign of a zero `a`, and the sweep falls back to the
+/// scatter when some p is not finite. A slack/artificial entering column
+/// ends as an exact unit column and returns its slot to the free list.
 void compatPivot(CompatTableau &T, size_t PR, size_t Q, size_t SweepEnd) {
+  // Sweeping 60 columns of 4 758 rows (huge's largest LP), the scatter and
+  // the dense loop cost the same near 30 % density (x86-64, SSE2, -O3); the
+  // dense loop's time is flat in the density, the scatter's grows with it.
+  constexpr size_t DenseSweepPct = 30;
   const size_t M = T.NumRows;
-  // The columns this pivot can fill beyond their implicit diagonal are the
-  // entering column and the pivot row's own slack/artificial; promote them
-  // so the sweep below sees real storage.
-  if (T.SlotOfPhys[Q] < 0)
-    T.promote(Q);
-  int SP = T.SlackPhysOfRow[PR];
-  if (SP >= 0 && static_cast<size_t>(SP) < SweepEnd && T.SlotOfPhys[SP] < 0)
-    T.promote(static_cast<size_t>(SP));
-  int AP = T.ArtPhysOfRow[PR];
-  if (AP >= 0 && static_cast<size_t>(AP) < SweepEnd && T.SlotOfPhys[AP] < 0)
-    T.promote(static_cast<size_t>(AP));
+  const size_t L = static_cast<size_t>(T.Basis[PR]);
+  auto PromoteIfInPivotRow = [&](size_t C) {
+    if (C < SweepEnd && T.SlotOfPhys[C] < 0 &&
+        T.ImplRow[C] == static_cast<int>(PR))
+      T.promote(C);
+  };
+  PromoteIfInPivotRow(Q);
+  PromoteIfInPivotRow(L);
+  if (int SP = T.SlackPhysOfRow[PR]; SP >= 0)
+    PromoteIfInPivotRow(static_cast<size_t>(SP));
+  if (int AP = T.ArtPhysOfRow[PR]; AP >= 0)
+    PromoteIfInPivotRow(static_cast<size_t>(AP));
+  assert(T.SlotOfPhys[Q] >= 0 && "entering column is nonzero in its row");
 
   const size_t SQ = static_cast<size_t>(T.SlotOfPhys[Q]);
   double Inv = 1.0 / T.Cols[SQ * M + PR];
   // Scale the pivot row's nonzeros. Any nonzero below SweepEnd lives in a
   // slot: implicit columns are nonzero only in their own row, and the pivot
-  // row's were just promoted.
+  // row's were just promoted. Free slots carry FreeSlot >= SweepEnd.
   thread_local std::vector<uint32_t> NzSlots;
   NzSlots.clear();
+  bool AllFinite = true;
   for (size_t S = 0; S < T.NumSlots; ++S) {
-    if (T.PhysOfSlot[S] >= SweepEnd)
+    uint32_t C = T.PhysOfSlot[S];
+    if (C >= SweepEnd || (T.Status[C] == ColStatus::Basic && C != L))
       continue;
     double &V = T.Cols[S * M + PR];
     if (V != 0.0) {
       V *= Inv;
+      AllFinite &= std::isfinite(V);
       if (S != SQ)
         NzSlots.push_back(static_cast<uint32_t>(S));
     }
@@ -458,11 +508,25 @@ void compatPivot(CompatTableau &T, size_t PR, size_t Q, size_t SweepEnd) {
     Factors.push_back(Factor);
     CQ[R] = 0.0;
   }
-  for (uint32_t S : NzSlots) {
-    double P = T.Cols[static_cast<size_t>(S) * M + PR];
-    double *CD = T.col(S);
+  if (AllFinite && 100 * NzRows.size() >= DenseSweepPct * M) {
+    thread_local std::vector<double> DenseFactors;
+    DenseFactors.assign(M, 0.0);
     for (size_t I = 0; I < NzRows.size(); ++I)
-      CD[NzRows[I]] -= Factors[I] * P;
+      DenseFactors[NzRows[I]] = Factors[I];
+    const double *F = DenseFactors.data();
+    for (uint32_t S : NzSlots) {
+      const double P = T.Cols[static_cast<size_t>(S) * M + PR];
+      double *CD = T.col(S);
+      for (size_t R = 0; R < M; ++R)
+        CD[R] -= F[R] * P;
+    }
+  } else {
+    for (uint32_t S : NzSlots) {
+      double P = T.Cols[static_cast<size_t>(S) * M + PR];
+      double *CD = T.col(S);
+      for (size_t I = 0; I < NzRows.size(); ++I)
+        CD[NzRows[I]] -= Factors[I] * P;
+    }
   }
   for (size_t I = 0; I < NzRows.size(); ++I)
     T.Rhs[NzRows[I]] -= Factors[I] * T.Rhs[PR];
@@ -474,9 +538,20 @@ void compatPivot(CompatTableau &T, size_t PR, size_t Q, size_t SweepEnd) {
     T.CostRhs -= Factor * T.Rhs[PR];
     T.Cost[Q] = 0.0;
   }
-  T.Status[static_cast<size_t>(T.Basis[PR])] = ColStatus::AtLower;
+  T.Status[L] = ColStatus::AtLower;
   T.Basis[PR] = static_cast<int>(Q);
   T.Status[Q] = ColStatus::Basic;
+  if (Q >= T.NumVars)
+    T.release(Q, PR);
+
+#ifndef NDEBUG
+  // Basic slack/artificial columns are implicit, so the pool never holds
+  // more than the structural columns plus the nonbasic ones.
+  for (size_t C = T.NumVars; C < T.NumCols; ++C)
+    assert(T.Status[C] != ColStatus::Basic || T.SlotOfPhys[C] < 0);
+  assert(T.NumSlots - T.FreeSlots.size() <=
+         T.NumVars + (T.NumCols - T.NumRows) + 1);
+#endif
 }
 
 /// Compat-mode phase runner: Dantzig pricing with the historical stall
@@ -526,11 +601,11 @@ PhaseResult runCompat(CompatTableau &T, const SimplexOptions &Options,
         }
       }
     } else {
-      // Implicit column: its only nonzero is the diagonal in its own row,
-      // so the dense row scan reduces to at most one candidate.
-      int R0 = T.RowOfPhys[Entering];
-      if (R0 >= 0 && T.DiagOfPhys[Entering] > Tol) {
-        BestRatio = T.Rhs[static_cast<size_t>(R0)] / T.DiagOfPhys[Entering];
+      // Implicit column: its only nonzero is ImplVal in ImplRow, so the
+      // dense row scan reduces to at most one candidate.
+      int R0 = T.ImplRow[Entering];
+      if (R0 >= 0 && T.ImplVal[Entering] > Tol) {
+        BestRatio = T.Rhs[static_cast<size_t>(R0)] / T.ImplVal[Entering];
         Leaving = static_cast<size_t>(R0);
       }
     }
@@ -574,7 +649,7 @@ Solution solveCompatLp(const Model &M, const std::vector<double> &Lo,
     // historical code until they are retired). The initial cost row is
     // accumulated from each artificial-basic row's nonzeros: structural
     // entries live in slots, and the row's own slack/artificial diagonals
-    // are still implicit (no other implicit column has a nonzero here), so
+    // are still implicit (no other implicit column has its row here), so
     // skipping the zeros reproduces the dense subtraction value-for-value.
     T.Cost.assign(T.NumCols, 0.0);
     for (size_t C = T.ArtStart; C < T.NumCols; ++C)
@@ -588,12 +663,10 @@ Solution solveCompatLp(const Model &M, const std::vector<double> &Lo,
         if (V != 0.0)
           T.Cost[T.PhysOfSlot[S]] -= V;
       }
-      int SP = T.SlackPhysOfRow[R];
-      if (SP >= 0 && T.SlotOfPhys[SP] < 0)
-        T.Cost[static_cast<size_t>(SP)] -= T.DiagOfPhys[static_cast<size_t>(SP)];
-      int AP = T.ArtPhysOfRow[R];
-      if (AP >= 0 && T.SlotOfPhys[AP] < 0)
-        T.Cost[static_cast<size_t>(AP)] -= T.DiagOfPhys[static_cast<size_t>(AP)];
+      for (int C : {T.SlackPhysOfRow[R], T.ArtPhysOfRow[R]})
+        if (C >= 0 && T.SlotOfPhys[C] < 0 &&
+            T.ImplRow[C] == static_cast<int>(R))
+          T.Cost[static_cast<size_t>(C)] -= T.ImplVal[static_cast<size_t>(C)];
       T.CostRhs -= T.Rhs[R];
     }
     PhaseResult P1 = runCompat(T, Options, RS, /*PriceEnd=*/T.NumCols,
@@ -628,8 +701,9 @@ Solution solveCompatLp(const Model &M, const std::vector<double> &Lo,
 
   // Phase 2: dead artificial columns are no longer priced or swept (the
   // values they would have received are never read). A row whose basic
-  // column carries cost has pivoted, so its slack already lives in a slot;
-  // the implicit-diagonal term is kept for form's sake.
+  // column carries cost has pivoted, so its slack already lives in a slot
+  // or is basic in another row; the implicit term, charged only while the
+  // slack's implicit row is this row, is kept for form's sake.
   {
     T.Cost.assign(T.NumCols, 0.0);
     double ObjSign = M.goal() == Goal::Minimize ? 1.0 : -1.0;
@@ -653,9 +727,10 @@ Solution solveCompatLp(const Model &M, const std::vector<double> &Lo,
           T.Cost[T.PhysOfSlot[S]] -= CB * V;
       }
       int SP = T.SlackPhysOfRow[R];
-      if (SP >= 0 && T.SlotOfPhys[SP] < 0)
+      if (SP >= 0 && T.SlotOfPhys[SP] < 0 &&
+          T.ImplRow[SP] == static_cast<int>(R))
         T.Cost[static_cast<size_t>(SP)] -=
-            CB * T.DiagOfPhys[static_cast<size_t>(SP)];
+            CB * T.ImplVal[static_cast<size_t>(SP)];
       T.CostRhs -= CB * T.Rhs[R];
     }
   }

@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "../bench/TallLp.h"
 #include "lp/Milp.h"
 #include "lp/Simplex.h"
 #include "support/Rng.h"
@@ -261,6 +262,70 @@ TEST(Simplex, DegenerateProblemTerminates) {
   Solution S = solveLp(M);
   ASSERT_EQ(S.Status, SolveStatus::Optimal);
   EXPECT_NEAR(S.Objective, 0.0, 1e-7);
+}
+
+TEST(Simplex, CompatTallLpGolden) {
+  // Tall BWP-shaped LPs (2 000 capacity rows over 40 weights, a GE floor
+  // row that needs an artificial) through the compat solver, pinned bit for
+  // bit: every value, the objective and the pivot count. Seed 1 (dense
+  // kernels) pivots mostly through the dense elimination sweep and stalls
+  // on its degenerate vertex past 200 pivots into the Bland fallback;
+  // seed 2 (sparse kernels) also takes the scattered sweep. In both, slack
+  // columns leave the basis and re-enter it. The values were recorded with
+  // the solver that kept every touched slack column in a slot and swept
+  // only through row indices.
+  struct Golden {
+    uint64_t Seed;
+    double DenseShare;
+    int Pivots;
+    double Objective;
+    std::vector<double> Values;
+  };
+  const Golden Cases[] = {
+      {1, 0.3, 537, 0x1.a89ba3ae16dd6p+3,
+       {0x1.3b92228a0b891p-2, 0x1.06b02d92d0a4ep-2, 0x1.426a09d499914p-3,
+        0x1.02887c7a0c4dcp-2, 0x1.48615f46c43c7p-2, 0x1.ee79ffe972f73p-2,
+        0x1.78764862bad94p-2, 0x1.d32a8691a1cbdp-2, 0x1.2fa9393e151c3p-2,
+        0x1.010b40ec6f7cfp-3, 0x1.31c172b179ac2p-2, 0x1.eb5422939c6bep-3,
+        0x1.7a6bfbd25990bp-3, 0x1.c46002dd640fap-2, 0x1.f8ba568c3fde9p-2,
+        0x1.cf5bca42c279dp-2, 0x1.082a56b47432bp-2, 0x1.8dfd6065040c4p-3,
+        0x1.bd6d238e2867bp-2, 0x1.268f1b8cf91efp-2, 0x1.b87eb8002f2e5p-4,
+        0x1.6ab35e5e969d8p-2, 0x1.19db91f3e0c85p-2, 0x1.384d195a6ca0cp-2,
+        0x1.123619c170dd9p-2, 0x1.6a59cf063c1b4p-2, 0x1.ee55519add095p-2,
+        0x1.94f4e283e2111p-3, 0x1.72d92cfcc5e3p-3, 0x1.adba88c04addp-2,
+        0x1.80db37c680bf3p-2, 0x1.f106a5430424ep-2, 0x1.dc75ebac4f7f6p-2,
+        0x1.bbcd95bd434b2p-2, 0x1.deb045a068d1dp-2, 0x1.6738245ebc875p-2,
+        0x1.9b0a5eec84defp-3, 0x1.b5dd4c0a6860bp-2, 0x1.f851bd4540edp-2,
+        0x1.43482d0d916b9p-2, 0x1.b159c5070c66bp-1}},
+      {2, 0.02, 87, 0x1.6fbdc0c70d70bp+3,
+       {0x1.8f9266d15e491p-2, 0x1.98b863d2e8708p-2, 0x1.8e1ed249045cap-3,
+        0x1.803f6e10eecbcp-3, 0x1.993ca67fb459cp-2, 0x1.effc496a2462cp-3,
+        0x1.efed5e602b20bp-2, 0x1.22c212023c852p-3, 0x1.8f4f629f895dap-2,
+        0x1.066666dde4cp-2, 0x1.2e12ff08e70ap-2, 0x1.75dbedc688a3p-2,
+        0x1.416aa908cf18ap-2, 0x1.6980a40718f85p-3, 0x1.9332787bdbe5ep-2,
+        0x1.e3231e7f348bfp-3, 0x1.c5a14b0e104eep-3, 0x1.e89ea0cd8dd48p-3,
+        0x1.6a53aa4d64254p-2, 0x1.6eef48e67f656p-3, 0x1.5b6d9bb33ea6dp-2,
+        0x1.6d4a8f45a4496p-2, 0x1.7e4614a840bd8p-2, 0x1.176b74ac40c9cp-2,
+        0x1.c296978d85f2ep-2, 0x1.61d5866f8e94ap-2, 0x1.10e86e113b701p-2,
+        0x1.72a722b0c4d13p-3, 0x1.6f8a22c77eaf4p-2, 0x1.7eedbe1be1dbap-3,
+        0x1.ec06cb3753c63p-2, 0x1.0050cbe338376p-2, 0x1.3a968eef18913p-2,
+        0x1.534bd9bdeff7ap-3, 0x1.ffbb43e2ac311p-4, 0x1.4ff3d50e7be97p-3,
+        0x1.21de56ba283c5p-2, 0x1.206c21832c8d7p-2, 0x1.59958ddbd493cp-2,
+        0x1.df1956b01817cp-4, 0x1.c41a252a33055p-1}},
+  };
+  SimplexOptions Compat;
+  Compat.Pricing = LpPricing::Dantzig;
+  for (const Golden &G : Cases) {
+    Model M = bench::makeTallBwpLp(G.Seed, 40, 2000, G.DenseShare);
+    LpRunStats Stats;
+    Solution S = solveLp(M, {}, Compat, nullptr, nullptr, &Stats);
+    ASSERT_EQ(S.Status, SolveStatus::Optimal) << "seed " << G.Seed;
+    EXPECT_EQ(Stats.Pivots, G.Pivots) << "seed " << G.Seed;
+    EXPECT_EQ(S.Objective, G.Objective) << "seed " << G.Seed;
+    ASSERT_EQ(S.Values.size(), G.Values.size());
+    for (size_t V = 0; V < G.Values.size(); ++V)
+      EXPECT_EQ(S.Values[V], G.Values[V]) << "seed " << G.Seed << " var " << V;
+  }
 }
 
 /// Property: on random transportation-style LPs, the simplex optimum equals
